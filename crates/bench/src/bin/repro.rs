@@ -696,7 +696,10 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
     // full dumps excluded — they are not per-event work). This is the
     // split the dirty-set work (DESIGN.md §16) attacks, so the snapshot
     // tracks it per tier.
-    let stage_us = {
+    // The cold start (routing trees plus the link→tree index, built
+    // before the t=0 dump) is reported beside the replay split, not in
+    // it: it is paid once per run, and again on every resume.
+    let (stage_us, cold_start_us) = {
         let profile = obs::prof::capture();
         let stage_total = |suffix: &str| -> f64 {
             profile
@@ -707,12 +710,20 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
                 .sum::<u64>() as f64
                 / 1e3
         };
-        format!(
+        let stage_us = format!(
             "{{ \"apply\": {:.1}, \"refresh\": {:.1}, \"observe\": {:.1} }}",
             stage_total("churn.apply"),
             stage_total("collector.refresh"),
             stage_total("collector.observe"),
-        )
+        );
+        let cold_start_us = profile
+            .entries
+            .iter()
+            .filter(|e| e.path.rsplit(';').next() == Some("fast.cold_start"))
+            .map(|e| e.total_ns)
+            .sum::<u64>() as f64
+            / 1e3;
+        (stage_us, cold_start_us)
     };
     obs::prof::reset();
     let same_month = |a: &BenchRun, b: &BenchRun| {
@@ -785,6 +796,7 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
          \"serial\": {}, \
          \"serial_profiled\": {}, \
          \"stage_us\": {stage_us}, \
+         \"cold_start_us\": {cold_start_us:.1}, \
          \"telemetry_overhead_pct\": {telemetry_overhead_pct:.3}, \
          \"parallel\": {}, \
          \"parallel_workers\": {workers_json}, \
@@ -819,13 +831,14 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
     eprintln!(
         "bench-snapshot: {events} events; serial {:.3}s ({:.0} ev/s replay, \
          {:.2} allocs/event), profiled {:.2} allocs/event \
-         ({telemetry_overhead_pct:+.2}%), --jobs={jobs} {:.3}s \
+         ({telemetry_overhead_pct:+.2}%, cold start {:.3}s), --jobs={jobs} {:.3}s \
          (speedup {speedup:.2}x, {} workers); \
          raw log fnv {raw_log_fnv:#018x}; wrote {out_path}",
         serial.wall_s,
         serial.replay_events_per_s,
         per_event(serial.allocs),
         per_event(profiled.allocs),
+        cold_start_us / 1e6,
         parallel.wall_s,
         parallel.workers.len(),
     );

@@ -16,11 +16,11 @@
 //!   tie-break) its current one under the decision process.
 
 use crate::churn::LinkChange;
-use crate::paths::FxMap;
 use quicksand_net::Asn;
 use quicksand_obs as obs;
 use quicksand_topology::{
-    AsGraph, ReconvergeScratch, Relationship, RouteClass, RoutingTree, TRACE_UNROUTED,
+    AsGraph, ComputeScratch, ReconvergeScratch, Relationship, RouteClass, RoutingTree,
+    TRACE_UNROUTED,
 };
 
 /// Inverted link→trees index: for every *directed* tree edge
@@ -29,72 +29,104 @@ use quicksand_topology::{
 /// the two directed bitmaps for the failed link — no per-tree
 /// `uses_link` scan.
 ///
+/// The bitmaps live in one flat arena, one row of `words` u64s per
+/// directed edge of the *base* graph (the graph `FastConverge::new`
+/// was handed), addressed through an immutable CSR snapshot of it. A
+/// link-up only ever restores a link from the down set, so every live
+/// edge is a base edge and its id never changes — however the mutable
+/// `AsGraph` shifts its adjacency cells in place (DESIGN.md §16.1).
+///
 /// Seeded from [`RoutingTree::next_hops`] at construction and kept
 /// current by replaying each reconvergence's next-hop trace
 /// ([`RoutingTree::trace`]); `FastConverge::index_is_consistent`
 /// cross-checks the two in tests.
 struct LinkIndex {
-    /// Bitmap length in u64 words (`ceil(n_slots / 64)`).
+    /// Bitmap row length in u64 words (`ceil(n_slots / 64)`).
     words: usize,
-    /// `(from << 32) | to` → bitmap over tree slots.
-    map: FxMap<Vec<u64>>,
-}
-
-fn edge_key(from: usize, to: usize) -> u64 {
-    ((from as u64) << 32) | to as u64
+    /// Node `v`'s directed edges are ids `offsets[v]..offsets[v + 1]`.
+    offsets: Vec<usize>,
+    /// Head node of each edge id, ascending by node index within a
+    /// node's range so an edge id is one binary search away.
+    heads: Vec<u32>,
+    /// Row `id` (`bits[id * words..][..words]`) is the bitmap over tree
+    /// slots whose tree has edge `id`.
+    bits: Vec<u64>,
 }
 
 impl LinkIndex {
-    fn new(n_slots: usize) -> Self {
-        LinkIndex {
-            words: n_slots.div_ceil(64),
-            map: FxMap::default(),
+    /// An index over `base`'s directed edges for `trees`, seeded from
+    /// their next hops.
+    fn new(base: &AsGraph, trees: &[(Asn, Option<RoutingTree>)]) -> Self {
+        let mut offsets = Vec::with_capacity(base.len() + 1);
+        let mut heads = Vec::with_capacity(2 * base.link_count());
+        offsets.push(0);
+        for v in 0..base.len() {
+            let start = heads.len();
+            heads.extend(base.neighbors_idx(v).iter().map(|&(w, _)| w as u32));
+            heads[start..].sort_unstable();
+            offsets.push(heads.len());
         }
+        let mut index = LinkIndex {
+            words: trees.len().div_ceil(64),
+            offsets,
+            heads,
+            bits: Vec::new(),
+        };
+        index.bits = index.seeded(trees);
+        index
+    }
+
+    /// A fresh arena holding exactly the tree edges of `trees`.
+    fn seeded(&self, trees: &[(Asn, Option<RoutingTree>)]) -> Vec<u64> {
+        let mut bits = vec![0u64; self.heads.len() * self.words];
+        for (slot, (_, t)) in trees.iter().enumerate() {
+            for (v, next) in t.as_ref().expect("tree present").next_hops() {
+                if v != next {
+                    bits[self.edge(v, next) * self.words + slot / 64] |= 1u64 << (slot % 64);
+                }
+            }
+        }
+        bits
+    }
+
+    /// The id of the base edge `from → to`.
+    ///
+    /// # Panics
+    /// Panics if the edge is not in the base graph — a tree can only
+    /// use live links, and live links are a subset of the base.
+    fn edge(&self, from: usize, to: usize) -> usize {
+        let lo = self.offsets[from];
+        let row = &self.heads[lo..self.offsets[from + 1]];
+        lo + row
+            .binary_search(&(to as u32))
+            .expect("tree edge is a base-graph edge")
+    }
+
+    fn row(&self, from: usize, to: usize) -> &[u64] {
+        let start = self.edge(from, to) * self.words;
+        &self.bits[start..start + self.words]
     }
 
     fn set(&mut self, from: usize, to: usize, slot: usize) {
-        let words = self.words;
-        let bits = self
-            .map
-            .entry(edge_key(from, to))
-            .or_insert_with(|| vec![0u64; words]);
-        bits[slot / 64] |= 1u64 << (slot % 64);
+        let at = self.edge(from, to) * self.words + slot / 64;
+        self.bits[at] |= 1u64 << (slot % 64);
     }
 
     fn clear(&mut self, from: usize, to: usize, slot: usize) {
-        if let Some(bits) = self.map.get_mut(&edge_key(from, to)) {
-            bits[slot / 64] &= !(1u64 << (slot % 64));
-        }
+        let at = self.edge(from, to) * self.words + slot / 64;
+        self.bits[at] &= !(1u64 << (slot % 64));
     }
 
     /// Push (ascending) every slot whose tree uses the undirected link
     /// `a`–`b`, i.e. has `a → b` or `b → a` as a tree edge.
     fn union_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
-        let x = self.map.get(&edge_key(a, b));
-        let y = self.map.get(&edge_key(b, a));
-        if x.is_none() && y.is_none() {
-            return;
-        }
-        for w in 0..self.words {
-            let mut bits = x.map_or(0, |v| v[w]) | y.map_or(0, |v| v[w]);
+        for (w, (&x, &y)) in self.row(a, b).iter().zip(self.row(b, a)).enumerate() {
+            let mut bits = x | y;
             while bits != 0 {
                 out.push(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// Equal as a set of (edge, slot) pairs — all-zero bitmaps and
-    /// absent entries are the same thing.
-    fn same_bits(&self, other: &LinkIndex) -> bool {
-        let zeros = vec![0u64; self.words];
-        let covered = |a: &LinkIndex, b: &LinkIndex| {
-            a.map.iter().all(|(k, bits)| {
-                let theirs = b.map.get(k).unwrap_or(&zeros);
-                bits == theirs || (bits.iter().all(|&w| w == 0) && theirs.iter().all(|&w| w == 0))
-            })
-        };
-        self.words == other.words && covered(self, other) && covered(other, self)
     }
 }
 
@@ -151,23 +183,23 @@ impl FastConverge {
         let mut os: Vec<Asn> = origins.into_iter().collect();
         os.sort_unstable();
         os.dedup();
-        let trees: Vec<(Asn, Option<RoutingTree>)> = os
-            .into_iter()
-            .map(|o| {
-                let mut t =
-                    RoutingTree::compute(&graph, o).expect("tracked origin not in graph");
-                t.set_tracing(true);
-                (o, Some(t))
-            })
-            .collect();
-        let mut link_index = LinkIndex::new(trees.len());
-        for (slot, (_, t)) in trees.iter().enumerate() {
-            for (v, next) in t.as_ref().expect("tree present").next_hops() {
-                if v != next {
-                    link_index.set(v, next, slot);
-                }
-            }
-        }
+        let _span = obs::prof::span("fast", "cold_start");
+        let trees: Vec<(Asn, Option<RoutingTree>)> = {
+            let _span = obs::prof::span("routing", "compute");
+            let mut scratch = ComputeScratch::new();
+            os.into_iter()
+                .map(|o| {
+                    let mut t = RoutingTree::compute_with(&graph, o, &mut scratch)
+                        .expect("tracked origin not in graph");
+                    t.set_tracing(true);
+                    (o, Some(t))
+                })
+                .collect()
+        };
+        let link_index = {
+            let _span = obs::prof::span("fast", "index");
+            LinkIndex::new(&graph, &trees)
+        };
         FastConverge {
             graph,
             trees,
@@ -216,15 +248,7 @@ impl FastConverge {
     /// support (the index is exactly the `uses_link` relation).
     #[doc(hidden)]
     pub fn index_is_consistent(&self) -> bool {
-        let mut fresh = LinkIndex::new(self.trees.len());
-        for (slot, (_, t)) in self.trees.iter().enumerate() {
-            for (v, next) in t.as_ref().expect("tree present").next_hops() {
-                if v != next {
-                    fresh.set(v, next, slot);
-                }
-            }
-        }
-        fresh.same_bits(&self.link_index)
+        self.link_index.seeded(&self.trees) == self.link_index.bits
     }
 
     /// Apply a link change; returns the tracked origins whose trees
@@ -492,15 +516,50 @@ mod tests {
     #[test]
     fn unrelated_link_event_skips_recompute() {
         let mut fc = FastConverge::new(diamond(), [Asn(8)]);
-        // 9–6 carries no traffic toward 8's prefix except 9's own.
-        // It does carry 9's traffic, so use 7–3 instead? 7 routes via 3.
-        // Every stub's access link carries its own traffic, so use a
-        // link that is genuinely unused: none in a tree spanning all ASes.
-        // Instead verify the filter via link-up of an already-up link
-        // (no-op) and down of an already-down link.
+        // Toward 8, tier-1s 1 and 2 both hold customer routes (via 4
+        // and via 5), so their 1–2 peering carries no traffic: failing
+        // it must not even make 8's tree a candidate.
+        assert_eq!(fc.apply(LinkChange::down(Asn(1), Asn(2))), vec![]);
+        assert_eq!(fc.recomputes, 0);
+        // Already-down and already-up links are no-ops too.
+        assert_eq!(fc.apply(LinkChange::down(Asn(1), Asn(2))), vec![]);
         assert_eq!(fc.apply(LinkChange::up(Asn(9), Asn(6))), vec![]);
-        fc.apply(LinkChange::down(Asn(9), Asn(6)));
-        assert_eq!(fc.apply(LinkChange::down(Asn(9), Asn(6))), vec![]);
+        assert_eq!(fc.recomputes, 0);
+        assert!(fc.index_is_consistent());
+    }
+
+    #[test]
+    fn index_oracle_detects_every_flipped_bit() {
+        let origins: Vec<Asn> = diamond().asns().collect();
+        let mut fc = FastConverge::new(diamond(), origins);
+        assert!(fc.index_is_consistent());
+        for word in 0..fc.link_index.bits.len() {
+            for bit in 0..64 {
+                fc.link_index.bits[word] ^= 1 << bit;
+                assert!(!fc.index_is_consistent(), "flip of word {word} bit {bit} unseen");
+                fc.link_index.bits[word] ^= 1 << bit;
+            }
+        }
+        assert!(fc.index_is_consistent());
+    }
+
+    #[test]
+    fn edge_ids_survive_core_link_flaps() {
+        let origins: Vec<Asn> = diamond().asns().collect();
+        let mut fc = FastConverge::new(diamond(), origins);
+        let i4 = fc.graph().index_of(Asn(4)).unwrap();
+        let i1 = fc.graph().index_of(Asn(1)).unwrap();
+        // Each down shifts 4's remaining adjacency cells left in place
+        // and each up shifts them back; the index's edge ids come from
+        // the immutable base snapshot, so it stays exact throughout.
+        for _ in 0..12 {
+            assert!(!fc.apply(LinkChange::down(Asn(1), Asn(4))).is_empty());
+            assert_ne!(fc.graph().neighbors_idx(i4)[0].0, i1);
+            assert!(fc.index_is_consistent());
+            assert!(!fc.apply(LinkChange::up(Asn(1), Asn(4))).is_empty());
+            assert_eq!(fc.graph().neighbors_idx(i4)[0].0, i1);
+            assert!(fc.index_is_consistent());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   regimes of the 2014 Internet at configurable scale.
 //! * [`RoutingTree`] — per-destination Gao–Rexford policy routing
 //!   (prefer customer > peer > provider, then shortest AS-path, then a
-//!   deterministic tie-break), computed with the classic three-phase BFS.
+//!   deterministic tie-break), computed with the classic three-phase BFS
+//!   in one linear pass per phase.
 //! * [`infer`] — Gao's relationship-inference algorithm (the paper's
 //!   reference \[18\]), rebuilt from AS paths so its accuracy can be
 //!   validated against the generator's ground truth.
@@ -30,4 +31,6 @@ mod routing;
 
 pub use gen::{GeneratedTopology, TopologyConfig, TopologyGenerator};
 pub use graph::{AsGraph, AsGraphError, Relationship, Tier};
-pub use routing::{ReconvergeScratch, RouteClass, RoutingTree, TRACE_UNROUTED};
+pub use routing::{
+    ComputeScratch, ReconvergeScratch, RouteClass, RoutingTree, TRACE_UNROUTED,
+};

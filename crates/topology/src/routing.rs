@@ -74,6 +74,75 @@ impl ReconvergeScratch {
     }
 }
 
+/// Reusable work buffers for [`RoutingTree::compute_with`], the
+/// cold-start counterpart of [`ReconvergeScratch`]: one scratch serves
+/// any number of tree builds, so building a tree per tracked origin
+/// allocates only the trees themselves once the buffers have grown.
+#[derive(Clone, Debug, Default)]
+pub struct ComputeScratch {
+    /// Routed nodes in the order they first got a route: the origin,
+    /// its customer cone level by level (phase 1's FIFO queue), then
+    /// the peer-routed nodes. Phase 3 seeds from every one of them.
+    order: Vec<usize>,
+    /// Phase 3's bucket queue: `buckets[k]` holds nodes whose
+    /// tentative provider route had distance `k` when queued. Every
+    /// bucket is drained (emptied, capacity kept) before a build ends.
+    buckets: Vec<Vec<usize>>,
+}
+
+impl ComputeScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Phase 3 of [`RoutingTree::compute_with`]: offer `x`'s route at
+/// `dist` hops to each customer of `x` that is unrouted or holds a
+/// worse tentative provider route, queueing it in bucket `dist` when
+/// its distance shrinks. A provider entry whose bucket was already
+/// expanded has distance below `dist`, so it is never displaced.
+fn offer_to_customers(
+    graph: &AsGraph,
+    entries: &mut [Option<Entry>],
+    buckets: &mut Vec<Vec<usize>>,
+    x: usize,
+    dist: u32,
+) {
+    let via_asn = graph.asn_of(x);
+    for &(c, rel) in graph.neighbors_idx(x) {
+        if rel != Relationship::Customer {
+            continue;
+        }
+        let queue = match &mut entries[c] {
+            slot @ None => {
+                *slot = Some(Entry {
+                    class: RouteClass::Provider,
+                    dist,
+                    next: x,
+                });
+                true
+            }
+            Some(e) if e.class == RouteClass::Provider
+                && (dist, via_asn) < (e.dist, graph.asn_of(e.next)) =>
+            {
+                let shorter = dist < e.dist;
+                e.dist = dist;
+                e.next = x;
+                shorter
+            }
+            Some(_) => false,
+        };
+        if queue {
+            let k = dist as usize;
+            if buckets.len() <= k {
+                buckets.resize_with(k + 1, Vec::new);
+            }
+            buckets[k].push(c);
+        }
+    }
+}
+
 /// How a route was learned, in decreasing order of preference.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RouteClass {
@@ -129,6 +198,24 @@ impl RoutingTree {
     ///
     /// Returns `None` if `dest` is not in the graph.
     pub fn compute(graph: &AsGraph, dest: Asn) -> Option<RoutingTree> {
+        Self::compute_with(graph, dest, &mut ComputeScratch::new())
+    }
+
+    /// [`RoutingTree::compute`] with caller-owned scratch, so building
+    /// many trees over one graph (the cold start builds one per tracked
+    /// origin) reuses one set of work buffers. The only allocation per
+    /// call is the tree's own entry table.
+    ///
+    /// Each phase keeps, per node, the best offer seen so far and
+    /// replaces it only with a strictly better `(dist, next-hop ASN)`
+    /// key, so a node's final route is the minimum over all its offers
+    /// in whatever order they arrive — the same pick as sorting the
+    /// offers and taking the first (DESIGN.md §11).
+    pub fn compute_with(
+        graph: &AsGraph,
+        dest: Asn,
+        scratch: &mut ComputeScratch,
+    ) -> Option<RoutingTree> {
         let n = graph.len();
         let d = graph.index_of(dest)?;
         let mut entries: Vec<Option<Entry>> = vec![None; n];
@@ -137,118 +224,111 @@ impl RoutingTree {
             dist: 0,
             next: d,
         });
+        let order = &mut scratch.order;
+        order.clear();
+        order.push(d);
 
         // Phase 1: customer routes — BFS from d along "to my provider"
         // direction. An AS x with a customer-or-origin route offers the
         // route to each of its providers p; p installs it as a Customer
-        // route. BFS order guarantees shortest distance; among equal
-        // distances the lowest next-hop ASN wins, which we enforce by
-        // scanning candidates per level.
-        let mut frontier = vec![d];
-        let mut dist = 0u32;
-        while !frontier.is_empty() {
-            dist += 1;
-            // Gather candidate (provider <- via) offers for this level.
-            let mut offers: Vec<(usize, usize)> = Vec::new(); // (provider, via)
-            for &x in &frontier {
-                for &(p, rel) in graph.neighbors_idx(x) {
-                    // rel is p's relationship w.r.t. x; p is x's provider.
-                    if rel == Relationship::Provider && entries[p].is_none() {
-                        offers.push((p, x));
+        // route. The FIFO queue visits the origin's customer cone level
+        // by level, so every offer of distance k + 1 arrives while the
+        // level-k nodes are expanded, before any level-(k + 1) node is;
+        // a Customer entry of exactly that distance is therefore still
+        // open, and a lower next-hop ASN displaces its next hop.
+        let mut head = 0;
+        while head < order.len() {
+            let x = order[head];
+            head += 1;
+            let dist = entries[x].expect("queued nodes are routed").dist + 1;
+            let via_asn = graph.asn_of(x);
+            for &(p, rel) in graph.neighbors_idx(x) {
+                // rel is p's relationship w.r.t. x; p is x's provider.
+                if rel != Relationship::Provider {
+                    continue;
+                }
+                match &mut entries[p] {
+                    slot @ None => {
+                        *slot = Some(Entry {
+                            class: RouteClass::Customer,
+                            dist,
+                            next: x,
+                        });
+                        order.push(p);
                     }
+                    Some(e) if e.class == RouteClass::Customer
+                        && e.dist == dist
+                        && via_asn < graph.asn_of(e.next) =>
+                    {
+                        e.next = x;
+                    }
+                    Some(_) => {}
                 }
             }
-            // Deterministic: among multiple offers to the same provider,
-            // choose lowest next-hop ASN.
-            offers.sort_by_key(|&(p, via)| (p, graph.asn_of(via)));
-            let mut next_frontier = Vec::new();
-            for (p, via) in offers {
-                if entries[p].is_none() {
-                    entries[p] = Some(Entry {
-                        class: RouteClass::Customer,
-                        dist,
-                        next: via,
-                    });
-                    next_frontier.push(p);
-                }
-            }
-            frontier = next_frontier;
         }
+        let customer_routed = order.len();
 
         // Phase 2: peer routes — every AS x with a customer-or-origin
         // route offers it across each peering link; the peer q installs
         // it (class Peer) unless q already has a customer/origin route.
-        // Peer routes are not re-exported, so a single pass suffices.
-        let mut peer_offers: Vec<(usize, u32, Asn, usize)> = Vec::new(); // (q, dist, via_asn, via)
-        for x in 0..n {
-            let Some(e) = entries[x] else { continue };
-            if e.class > RouteClass::Customer {
-                continue;
-            }
+        // Peer routes are not re-exported, so a single pass suffices;
+        // each q keeps its lowest (dist, next-hop ASN) offer.
+        for i in 0..customer_routed {
+            let x = order[i];
+            let dist = entries[x].expect("queued nodes are routed").dist + 1;
+            let via_asn = graph.asn_of(x);
             for &(q, rel) in graph.neighbors_idx(x) {
-                if rel == Relationship::Peer {
-                    let better = match entries[q] {
-                        None => true,
-                        Some(eq) => eq.class > RouteClass::Peer,
-                    };
-                    if better {
-                        peer_offers.push((q, e.dist + 1, graph.asn_of(x), x));
+                if rel != Relationship::Peer {
+                    continue;
+                }
+                match &mut entries[q] {
+                    slot @ None => {
+                        *slot = Some(Entry {
+                            class: RouteClass::Peer,
+                            dist,
+                            next: x,
+                        });
+                        order.push(q);
                     }
+                    Some(e) if e.class == RouteClass::Peer
+                        && (dist, via_asn) < (e.dist, graph.asn_of(e.next)) =>
+                    {
+                        e.dist = dist;
+                        e.next = x;
+                    }
+                    Some(_) => {}
                 }
-            }
-        }
-        peer_offers.sort_by_key(|&(q, dist, via_asn, _)| (q, dist, via_asn));
-        for (q, dist, _, via) in peer_offers {
-            let take = match entries[q] {
-                None => true,
-                Some(eq) => {
-                    eq.class > RouteClass::Peer
-                        || (eq.class == RouteClass::Peer && dist < eq.dist)
-                }
-            };
-            if take {
-                entries[q] = Some(Entry {
-                    class: RouteClass::Peer,
-                    dist,
-                    next: via,
-                });
             }
         }
 
-        // Phase 3: provider routes — Dijkstra (unit weights) *down*
+        // Phase 3: provider routes — shortest paths (unit weights) *down*
         // customer links from every already-routed AS. Any AS x with any
-        // route offers it to its customers c; c installs the shortest
-        // such offer as a Provider route only if it has no route yet
-        // (policy beats length, so customer/peer routes are never
-        // displaced). Sources have heterogeneous distances, so a plain
-        // level-order BFS would be wrong; a distance-ordered heap keeps
-        // shortest-AS-path semantics. Ties break on lowest next-hop ASN
-        // via the heap key.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<Reverse<(u32, Asn, usize, usize)>> = BinaryHeap::new();
-        for x in 0..n {
-            let Some(e) = entries[x] else { continue };
-            for &(c, rel) in graph.neighbors_idx(x) {
-                if rel == Relationship::Customer && entries[c].is_none() {
-                    heap.push(Reverse((e.dist + 1, graph.asn_of(x), c, x)));
-                }
-            }
+        // route offers it to its customers c; c installs the best such
+        // offer as a Provider route only if it has no route yet (policy
+        // beats length, so customer/peer routes are never displaced).
+        // Sources have heterogeneous distances, so a plain level-order
+        // BFS would be wrong; a bucket queue by distance keeps
+        // shortest-AS-path semantics. Provider entries are tentative
+        // until their bucket is expanded: expanding bucket k only makes
+        // offers of distance k + 1, so by then no offer can still beat a
+        // distance-k entry, and a node whose entry has since shortened
+        // is skipped as stale.
+        let buckets = &mut scratch.buckets;
+        for &x in order.iter() {
+            let dist = entries[x].expect("ordered nodes are routed").dist + 1;
+            offer_to_customers(graph, &mut entries, buckets, x, dist);
         }
-        while let Some(Reverse((dist, _, c, via))) = heap.pop() {
-            if entries[c].is_some() {
-                continue;
-            }
-            entries[c] = Some(Entry {
-                class: RouteClass::Provider,
-                dist,
-                next: via,
-            });
-            for &(cc, rel) in graph.neighbors_idx(c) {
-                if rel == Relationship::Customer && entries[cc].is_none() {
-                    heap.push(Reverse((dist + 1, graph.asn_of(c), cc, c)));
+        let mut k = 0;
+        while k < buckets.len() {
+            let mut bucket = std::mem::take(&mut buckets[k]);
+            for &c in &bucket {
+                if entries[c].is_some_and(|e| e.dist == k as u32) {
+                    offer_to_customers(graph, &mut entries, buckets, c, k as u32 + 1);
                 }
             }
+            bucket.clear();
+            buckets[k] = bucket;
+            k += 1;
         }
 
         Some(RoutingTree {
