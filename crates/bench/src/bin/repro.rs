@@ -5,13 +5,13 @@
 //! repro [all|table1|fig2-left|fig2-right|fig3-left|fig3-right|model|
 //!        hijack|intercept|convergence|ixp|population|static-vs-dynamic|
 //!        stealth|longterm|countermeasures|chaos]
-//!        [--small|--medium|--large|--scale=SPEC] [--jobs=N]
+//!        [--small|--medium|--large|--scale=SPEC]
 //!        [--intensity=<0..1>] [--obs-out=run.json] [--obs-jsonl=run.jsonl]
 //!        [--profile-out=PATH] [--profile-sample=N] [--log-level=SPEC]
 //!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
 //!        [--halt-after=K] [-v|--verbose] [-q|--quiet]
 //! repro report [--check] <run.json> [other.json]
-//! repro bench-snapshot [--small|--medium|--large|--scale=SPEC] [--jobs=N]
+//! repro bench-snapshot [--small|--medium|--large|--scale=SPEC]
 //!        [--bench-out=BENCH_monthreplay.json] [--baseline=PATH]
 //! repro serve [--small|--medium|--large|--scale=SPEC]
 //!        [--cells=N] [--width=K] [--seed=S]
@@ -38,11 +38,10 @@
 //! ~20k-AS / ~100k-prefix Internet-scale tier. Without a scale flag the
 //! batch mode runs the full EXPERIMENTS.md configuration and
 //! `serve`/`feed` default to medium (their historical behavior).
-//! `--jobs=N` shards the month replay across N worker threads
-//! (DESIGN.md §10) with output bitwise-identical to the serial default;
-//! `bench-snapshot` measures the replay serial *and* sharded, verifies
-//! the two logs are identical, and writes the wall-clock/events-per-sec
-//! numbers as JSON — the scaling baseline CI archives as an artifact.
+//! `bench-snapshot` times the month replay plain and under the span
+//! profiler, verifies the two logs are identical, and writes the
+//! wall-clock/events-per-sec numbers as JSON — the baseline CI archives
+//! as an artifact.
 //!
 //! Observability: progress notes are `quicksand-obs` events rendered to
 //! stderr (`-v` adds span timings, `--quiet` silences both events and
@@ -137,7 +136,6 @@ use quicksand_bench::exitcode;
 use quicksand_core::feed::{
     FeedBinding, FeedClient, FeedConfig, FeedServer, FeedSlot, ReconnectPolicy,
 };
-use quicksand_core::parallel::Parallelism;
 use quicksand_core::report;
 use quicksand_core::scenario::{MonthResult, Scale, Scenario, ScenarioConfig};
 use quicksand_core::supervise::{
@@ -352,12 +350,11 @@ struct Ctx {
 }
 
 impl Ctx {
-    fn new(scale: Option<&Scale>, jobs: usize, recover: RecoverOpts) -> Ctx {
-        let mut cfg = match scale {
+    fn new(scale: Option<&Scale>, recover: RecoverOpts) -> Ctx {
+        let cfg = match scale {
             Some(sc) => ScenarioConfig::at_scale(sc, 0xA11),
             None => full_config(),
         };
-        cfg.parallelism = Parallelism::with_jobs(jobs);
         progress(format!(
             "building scenario ({} ASes, {} relays)…",
             cfg.topology.n_ases, cfg.consensus.n_relays
@@ -534,15 +531,6 @@ fn report_command(args: &[String]) -> i32 {
     }
 }
 
-/// One worker slot's attribution from a sharded replay: how busy it
-/// was and how much it allocated (the per-worker session counters
-/// `parallel.worker_busy_us` / `parallel.worker_allocs`).
-struct WorkerStat {
-    slot: u32,
-    busy_us: u64,
-    allocs: u64,
-}
-
 /// Everything `bench-snapshot` measures about one month replay.
 struct BenchRun {
     month: MonthResult,
@@ -559,37 +547,24 @@ struct BenchRun {
     recomputes: u64,
     allocs: u64,
     alloc_bytes: u64,
-    /// Per-worker attribution (empty for serial runs — no pool).
-    workers: Vec<WorkerStat>,
 }
 
 /// `repro bench-snapshot [--small|--medium|--large|--scale=SPEC]
-/// [--jobs=N] [--bench-out=PATH] [--baseline=PATH]`: the month-replay
-/// hot-path benchmark. Runs the replay once serial (the reference) and
-/// once sharded across N threads (default 4), verifies the two runs
-/// produce byte-identical update logs (exit 1 otherwise — the
-/// differential gate), and writes wall-clock, replay events/sec, tree
-/// recomputes, and counting-allocator totals as one tier of the tiered
-/// `BENCH_monthreplay.json` (other tiers already in the file are
-/// preserved — see [`quicksand_bench::snapshot`]). `--baseline=PATH`
-/// embeds a previously captured snapshot under `"baseline"` with its
-/// own baseline stripped (one-level cap), recording a before/after
-/// pair from the same container. Each run uses a scoped metrics
-/// registry, so the measurement does not pollute (and is not polluted
-/// by) the global registry.
+/// [--bench-out=PATH] [--baseline=PATH]`: the month-replay hot-path
+/// benchmark. Runs the replay once plain and once with the span
+/// profiler recording every span, verifies the two runs produce
+/// byte-identical update logs (exit 1 otherwise — the differential
+/// gate), and writes wall-clock, replay events/sec, tree recomputes,
+/// per-stage span time and counting-allocator totals as one tier of
+/// the tiered `BENCH_monthreplay.json` (other tiers already in the
+/// file are preserved — see [`quicksand_bench::snapshot`]).
+/// `--baseline=PATH` embeds a previously captured snapshot under
+/// `"baseline"` with its own baseline stripped (one-level cap),
+/// recording a before/after pair from the same host. Each run uses a
+/// scoped metrics registry, so the measurement does not pollute (and
+/// is not polluted by) the global registry.
 fn bench_snapshot_command(args: &[String]) -> i32 {
     let scale = scale_arg(args);
-    let jobs = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--jobs="))
-        .map(|s| match s.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("error: --jobs expects an integer >= 2, got {s:?}");
-                std::process::exit(exitcode::USAGE);
-            }
-        })
-        .unwrap_or(4);
     let out_path = args
         .iter()
         .find_map(|a| a.strip_prefix("--bench-out="))
@@ -600,10 +575,8 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         None => ("full".to_string(), full_config()),
     };
 
-    let timed_run = |n_jobs: usize, profiled: bool| -> BenchRun {
-        let mut cfg = base.clone();
-        cfg.parallelism = Parallelism::with_jobs(n_jobs);
-        let scenario = Scenario::build(cfg);
+    let timed_run = |profiled: bool| -> BenchRun {
+        let scenario = Scenario::build(base.clone());
         let ases = scenario.topo.graph.len();
         let tracked = scenario.tracked_prefixes().len();
         let sessions = scenario.session_peers.len();
@@ -638,28 +611,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
                 .iter()
                 .find(|g| g.stage == "churn" && g.name == "replay_rate")
                 .map_or(events as f64 / wall_s.max(f64::MIN_POSITIVE), |g| g.value);
-            let workers = snap
-                .counters
-                .iter()
-                .filter(|c| {
-                    c.stage == "parallel"
-                        && c.name == "worker_busy_us"
-                        && c.session.is_some()
-                })
-                .map(|c| WorkerStat {
-                    slot: c.session.expect("filtered on session"),
-                    busy_us: c.value,
-                    allocs: snap
-                        .counters
-                        .iter()
-                        .find(|a| {
-                            a.stage == "parallel"
-                                && a.name == "worker_allocs"
-                                && a.session == c.session
-                        })
-                        .map_or(0, |a| a.value),
-                })
-                .collect();
             BenchRun {
                 month,
                 ases,
@@ -671,7 +622,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
                 recomputes: counter("routing", "tree_recomputes"),
                 allocs: allocs1 - allocs0,
                 alloc_bytes: bytes1 - bytes0,
-                workers,
             }
         });
         if profiled {
@@ -682,15 +632,14 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
 
     eprintln!(
         "bench-snapshot: month replay, {scenario_name} scenario, \
-         serial vs --jobs={jobs} vs serial+profiler"
+         serial vs serial+profiler"
     );
-    let serial = timed_run(1, false);
-    let parallel = timed_run(jobs, false);
-    // Third run: serial again with the span profiler recording at
-    // default sampling — the telemetry-overhead measurement. The
-    // profiled replay must stay within 5% of the serial allocation
-    // budget (the `alloc_budget` tripwire enforces this in CI).
-    let profiled = timed_run(1, true);
+    let serial = timed_run(false);
+    // Second run: the same replay with the span profiler recording
+    // every span — the telemetry-overhead measurement. The profiled
+    // replay must stay within 5% of the serial allocation budget (the
+    // `alloc_budget` tripwire enforces this in CI).
+    let profiled = timed_run(true);
     // Per-stage replay split from the profiled run's span tree: the
     // apply/refresh/observe µs under the replay span (t=0 and final
     // full dumps excluded — they are not per-event work). This is the
@@ -732,12 +681,11 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
             && a.month.removed_duplicates == b.month.removed_duplicates
             && a.month.reset_bursts == b.month.reset_bursts
     };
-    let identical = same_month(&serial, &parallel) && same_month(&serial, &profiled);
+    let identical = same_month(&serial, &profiled);
     let mut raw_bytes = Vec::new();
     quicksand_bgp::mrt::write_log(&serial.month.raw, &mut raw_bytes)
         .expect("writing to a Vec cannot fail");
     let raw_log_fnv = fnv64(&raw_bytes);
-    let speedup = serial.wall_s / parallel.wall_s.max(f64::MIN_POSITIVE);
     let events = serial.events;
     let per_event = |x: u64| x as f64 / (events.max(1)) as f64;
     let run_json = |r: &BenchRun| {
@@ -764,23 +712,6 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         },
         None => None,
     };
-    // Per-worker attribution: where the parallel run's extra
-    // allocations over serial come from (each worker slot's scratch
-    // plus chunk handoff), and how evenly the shards kept the slots
-    // busy.
-    let workers_json = {
-        let rows: Vec<String> = parallel
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{ \"slot\": {}, \"busy_us\": {}, \"allocs\": {} }}",
-                    w.slot, w.busy_us, w.allocs
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(", "))
-    };
     // The headline telemetry cost: extra allocations per event with the
     // profiler recording every span, relative to the profiler-off
     // serial run.
@@ -789,7 +720,7 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
         - 1.0)
         * 100.0;
     let tier_json = format!(
-        "{{ \"scenario\": \"{scenario_name}\", \"jobs\": {jobs}, \
+        "{{ \"scenario\": \"{scenario_name}\", \
          \"ases\": {}, \"tracked_prefixes\": {}, \"sessions\": {}, \
          \"events\": {events}, \"raw_records\": {}, \
          \"raw_log_fnv\": \"{raw_log_fnv:#018x}\", \
@@ -798,16 +729,13 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
          \"stage_us\": {stage_us}, \
          \"cold_start_us\": {cold_start_us:.1}, \
          \"telemetry_overhead_pct\": {telemetry_overhead_pct:.3}, \
-         \"parallel\": {}, \
-         \"parallel_workers\": {workers_json}, \
-         \"speedup\": {speedup:.4}, \"identical\": {identical} }}",
+         \"identical\": {identical} }}",
         serial.ases,
         serial.tracked,
         serial.sessions,
         serial.month.raw.len(),
         run_json(&serial),
         run_json(&profiled),
-        run_json(&parallel),
     );
     // Merge this tier into the artifact, preserving the other tiers
     // (and, absent --baseline, the recorded baseline).
@@ -831,20 +759,17 @@ fn bench_snapshot_command(args: &[String]) -> i32 {
     eprintln!(
         "bench-snapshot: {events} events; serial {:.3}s ({:.0} ev/s replay, \
          {:.2} allocs/event), profiled {:.2} allocs/event \
-         ({telemetry_overhead_pct:+.2}%, cold start {:.3}s), --jobs={jobs} {:.3}s \
-         (speedup {speedup:.2}x, {} workers); \
+         ({telemetry_overhead_pct:+.2}%, cold start {:.3}s); \
          raw log fnv {raw_log_fnv:#018x}; wrote {out_path}",
         serial.wall_s,
         serial.replay_events_per_s,
         per_event(serial.allocs),
         per_event(profiled.allocs),
         cold_start_us / 1e6,
-        parallel.wall_s,
-        parallel.workers.len(),
     );
     if !identical {
         eprintln!(
-            "error: replay diverged across serial/parallel/profiled runs \
+            "error: replay diverged between the serial and profiled runs \
              (differential gate)"
         );
         return exitcode::CHECK_FAILED;
@@ -1332,7 +1257,6 @@ fn main() {
         eprintln!("error: --halt-after requires --checkpoint-every and --checkpoint-dir");
         std::process::exit(exitcode::USAGE);
     }
-    let jobs = parse_u64("--jobs=").map_or(1, |n| n.max(1) as usize);
     let profile_out = args
         .iter()
         .find_map(|a| a.strip_prefix("--profile-out="));
@@ -1382,7 +1306,7 @@ fn main() {
     }
     let out = Out { quiet };
 
-    let mut ctx = Ctx::new(scale.as_ref(), jobs, recover);
+    let mut ctx = Ctx::new(scale.as_ref(), recover);
 
     if want("table1") {
         ctx.ensure_month();

@@ -53,23 +53,13 @@ pub struct UpdateRecord {
     pub msg: UpdateMessage,
 }
 
-/// The table changes one [`Collector::observe`] computes for one
-/// session before any state is applied: for each prefix whose recorded
-/// entry changes, the new entry — `Some(id)` to insert or replace (an
-/// announcement), `None` to remove (a withdrawal) — in the prefix
-/// iteration order of the observe call. Paths are interned
-/// [`PathId`]s into the collector's [`PathArena`].
-///
-/// Produced by [`Collector::diff_session`] against pre-observe state
-/// and consumed by [`Collector::apply_ops`]; the parallel month-replay
-/// engine computes these on worker threads and applies them serially.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionOps {
-    /// Index of the session into the collector's roster.
-    pub session: usize,
-    /// Changed entries as `(prefix, new interned table entry)`.
-    pub ops: Vec<(Ipv4Prefix, Option<PathId>)>,
-}
+/// The table changes one observe computes for one session before any
+/// state is applied: for each prefix whose recorded entry changes, the
+/// new entry — `Some(id)` to insert or replace (an announcement),
+/// `None` to remove (a withdrawal) — in the order the observe diffed
+/// them. Paths are interned [`PathId`]s into the collector's
+/// [`PathArena`].
+type SessionOps = Vec<(Ipv4Prefix, Option<PathId>)>;
 
 /// A time-ordered log of updates across all sessions of all collectors.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -228,8 +218,8 @@ pub struct Collector {
     /// millions of times per replay — while iteration stays in the
     /// ascending (session, prefix) order the log format relies on.
     state: Vec<FlatTable>,
-    /// Arena of every distinct recorded path; `state` and [`SessionOps`]
-    /// refer into it, and records resolve through it on append.
+    /// Arena of every distinct recorded path; `state` and the pending
+    /// session ops refer into it, and records resolve through it on append.
     arena: PathArena,
     /// Per-session peer graph indices, memoized on the first
     /// [`Collector::refresh_exports`] call (parallel to `sessions`;
@@ -246,16 +236,16 @@ pub struct Collector {
     /// every up/down transition so the per-event observe reads a slice
     /// instead of rebuilding a `Vec`.
     live_idx: Vec<usize>,
-    /// One reusable [`SessionOps`] slot per session (slot `si` has
-    /// `session == si`), lent out by [`Collector::take_ops_scratch`] so
-    /// per-event diffs reuse warm op buffers instead of allocating.
+    /// One reusable op buffer per session (slot `si` holds session
+    /// `si`'s ops), lent out for each observe so per-event diffs reuse
+    /// warm buffers instead of allocating.
     ops_scratch: Vec<SessionOps>,
     /// Reusable `(prefix, op seq, entry)` buffer for sorting a batch of
-    /// table deltas in [`Collector::apply_ops`].
+    /// table deltas in `apply_table_ops`.
     delta_scratch: Vec<(Ipv4Prefix, u32, Option<PathId>)>,
-    /// Reusable rebuild target for the merge in
-    /// [`Collector::apply_ops`]; swapped with the live table, so the
-    /// two buffers ping-pong with no steady-state allocation.
+    /// Reusable rebuild target for the merge in `apply_table_ops`;
+    /// swapped with the live table, so the two buffers ping-pong with
+    /// no steady-state allocation.
     merge_scratch: Vec<(Ipv4Prefix, PathId)>,
     retry_base: SimDuration,
     retry_cap: SimDuration,
@@ -709,7 +699,7 @@ impl Collector {
         // path skips this and calls [`Collector::observe_interned`]
         // with an [`ExportCache`]-backed closure directly.
         let peers: Vec<Asn> = self
-            .live_session_indices()
+            .live_idx
             .iter()
             .map(|&si| self.sessions[si].peer)
             .collect();
@@ -738,9 +728,13 @@ impl Collector {
     /// log — the full peer→origin walk) plus the peer's route class,
     /// typically straight out of an [`ExportCache`]. Passing the index
     /// rather than the prefix lets callers answer from a slice aligned
-    /// with `prefixes` instead of a per-query map lookup. This is the
-    /// month-replay hot path: diffing compares path ids and touches no
-    /// allocator.
+    /// with `prefixes` instead of a per-query map lookup. Diffing
+    /// compares path ids and touches no allocator.
+    ///
+    /// This is the full-scan reference: every live session diffs every
+    /// prefix. The month replay observes through
+    /// [`Collector::observe_dirty`] instead, which the dirty-set tests
+    /// hold to this function record for record.
     pub fn observe_interned<F>(
         &mut self,
         at: SimTime,
@@ -750,17 +744,9 @@ impl Collector {
     ) where
         F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
     {
-        let _span = obs::prof::span("collector", "observe");
-        let recorded_before = log.records.len();
-        self.emit_due_resets(at, log);
-        let mut ops = self.take_ops_scratch();
-        for idx in 0..self.live_idx.len() {
-            let si = self.live_idx[idx];
-            self.diff_session_into(si, prefixes, exported, &mut ops[si]);
-        }
-        self.apply_ops(at, &ops, log);
-        self.restore_ops_scratch(ops);
-        Self::count_observation(log.records.len() - recorded_before);
+        self.observe_with(at, log, |this, si, ops| {
+            this.diff_session_into(si, prefixes, exported, ops);
+        });
     }
 
     /// Observe at time `at` only the **dirty** part of the routing
@@ -770,15 +756,21 @@ impl Collector {
     /// `prefixes_of` maps an origin to its tracked prefixes (ascending;
     /// an origin's prefixes must not appear under another origin).
     /// `exported` answers `(peer, origin)` queries, typically
-    /// [`ExportCache::get`].
+    /// [`ExportCache::get`]. With every tracked origin dirty for every
+    /// session this is a full observe — the month replay's t=0 table
+    /// dump and final flush.
     ///
     /// Produces byte-for-byte the records a full
     /// [`Collector::observe_interned`] over all tracked prefixes would
     /// append: a record is emitted only when a session's recorded entry
     /// changes, which requires that (origin, peer) export to have
     /// changed — membership in `dirty` — and clean origins' prefix runs
-    /// diff to nothing. This is the replay hot path: per event it
-    /// touches only changed (session, origin) pairs.
+    /// diff to nothing. Record *order* matches only under an ordering
+    /// invariant: the tracked origins' prefix lists, concatenated in
+    /// ascending-origin order, must equal the ascending list of all
+    /// tracked prefixes (the order the full scan walks). The generated
+    /// scenarios satisfy it because AS *i* owns the /16 at graph index
+    /// *i* and has ASN *i* + 1; the month replay asserts it.
     pub fn observe_dirty<'a, F, P>(
         &mut self,
         at: SimTime,
@@ -790,58 +782,46 @@ impl Collector {
         F: Fn(Asn, Asn) -> Option<(PathId, RouteClass)>,
         P: Fn(Asn) -> &'a [Ipv4Prefix],
     {
+        self.observe_with(at, log, |this, si, ops| {
+            if !dirty[si].is_empty() {
+                this.diff_dirty_into(si, &dirty[si], prefixes_of, exported, ops);
+            }
+        });
+    }
+
+    /// The frame every observe shares: emit the session resets due by
+    /// `at`, let `diff` fill each live session's op slot against the
+    /// pre-observe tables, apply the slots in ascending session order
+    /// (the log order), and count the observation. The op buffers are
+    /// borrowed from `ops_scratch` and returned warm.
+    fn observe_with(
+        &mut self,
+        at: SimTime,
+        log: &mut UpdateLog,
+        mut diff: impl FnMut(&Self, usize, &mut SessionOps),
+    ) {
         let _span = obs::prof::span("collector", "observe");
         let recorded_before = log.records.len();
         self.emit_due_resets(at, log);
-        let mut ops = self.take_ops_scratch();
-        for idx in 0..self.live_idx.len() {
-            let si = self.live_idx[idx];
-            if dirty[si].is_empty() {
-                continue;
-            }
-            self.diff_dirty_into(si, &dirty[si], prefixes_of, exported, &mut ops[si]);
+        let mut ops = std::mem::take(&mut self.ops_scratch);
+        ops.resize_with(self.sessions.len(), Vec::new);
+        ops.iter_mut().for_each(Vec::clear);
+        for &si in &self.live_idx {
+            diff(self, si, &mut ops[si]);
         }
         self.apply_ops(at, &ops, log);
-        self.restore_ops_scratch(ops);
-        Self::count_observation(log.records.len() - recorded_before);
-    }
-
-    /// Lend out the per-session [`SessionOps`] scratch: one slot per
-    /// session, `ops[si].session == si`, every op list cleared but with
-    /// its warm capacity. Callers (the observe entry points and the
-    /// parallel engine, which hands disjoint slots to worker shards)
-    /// fill slots, run [`Collector::apply_ops`] over the whole slice —
-    /// untouched slots are empty and apply as no-ops — and give the
-    /// buffer back via [`Collector::restore_ops_scratch`].
-    pub fn take_ops_scratch(&mut self) -> Vec<SessionOps> {
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        if ops.len() != self.sessions.len() {
-            ops = (0..self.sessions.len())
-                .map(|si| SessionOps {
-                    session: si,
-                    ops: Vec::new(),
-                })
-                .collect();
-        } else {
-            for so in ops.iter_mut() {
-                so.ops.clear();
-            }
-        }
-        ops
-    }
-
-    /// Return the buffer borrowed by [`Collector::take_ops_scratch`].
-    pub fn restore_ops_scratch(&mut self, ops: Vec<SessionOps>) {
         self.ops_scratch = ops;
+        let appended = log.records.len() - recorded_before;
+        obs::incr("collector", "observe_calls", 1);
+        obs::incr("collector", "records", appended as u64);
     }
 
-    /// First phase of [`Collector::observe`]: emit every scheduled
-    /// session reset due by `at` (re-dumping the session's recorded
-    /// table into `log` at the reset's scheduled time) and advance the
-    /// reset cursor. Serial by design — resets append in schedule order
-    /// and read table state that subsequent diffing may mutate.
-    pub fn emit_due_resets(&mut self, at: SimTime, log: &mut UpdateLog) {
-        // Emit any resets due before `at`: re-dump the session table.
+    /// Emit every scheduled session reset due by `at` (re-dumping the
+    /// session's recorded table into `log` at the reset's scheduled
+    /// time) and advance the reset cursor. Runs before the diff —
+    /// resets append in schedule order and read table state the diff
+    /// may then change.
+    fn emit_due_resets(&mut self, at: SimTime, log: &mut UpdateLog) {
         while self.next_reset < self.resets.len() && self.resets[self.next_reset].0 <= at
         {
             let (rt, si) = self.resets[self.next_reset];
@@ -866,45 +846,15 @@ impl Collector {
         }
     }
 
-    /// Indices of the sessions currently up, ascending — the sessions
-    /// [`Collector::observe`] diffs, in the order it diffs them.
-    /// Maintained on up/down transitions; reading it allocates nothing.
-    pub fn live_session_indices(&self) -> &[usize] {
-        &self.live_idx
-    }
-
-    /// Pure per-session half of [`Collector::observe`]: diff the
-    /// interned exports `exported` yields for `prefixes` against session
-    /// `si`'s recorded table and return the entries that change,
-    /// mutating nothing. `exported` must yield the *recorded* path id
-    /// (peer-prepended, as [`Collector::observe_interned`] documents);
-    /// the per-session feed filter is applied here.
-    ///
-    /// Reads only session `si`'s slice of the table — the `(si, prefix)`
-    /// keyspaces of distinct sessions are disjoint — so different
-    /// sessions can be diffed concurrently against the same pre-observe
-    /// state, and [`Collector::apply_ops`] applied in ascending session
-    /// order reproduces the serial observe record for record (DESIGN.md
-    /// §10). A prefix listed twice diffs against the pending entry its
-    /// first occurrence produced, exactly as the serial in-place loop
-    /// would.
-    pub fn diff_session<F>(&self, si: usize, prefixes: &[Ipv4Prefix], exported: &F) -> SessionOps
-    where
-        F: Fn(Asn, usize) -> Option<(PathId, RouteClass)>,
-    {
-        let mut out = SessionOps {
-            session: si,
-            ops: Vec::new(),
-        };
-        self.diff_session_into(si, prefixes, exported, &mut out);
-        out
-    }
-
-    /// [`Collector::diff_session`] into a caller-owned [`SessionOps`]
-    /// (cleared first), typically a slot from
-    /// [`Collector::take_ops_scratch`], so the per-event hot path reuses
-    /// warm op buffers.
-    pub fn diff_session_into<F>(
+    /// Diff the interned exports `exported` yields for `prefixes`
+    /// against session `si`'s recorded table, pushing the entries that
+    /// change onto `out` (empty on entry) and mutating nothing.
+    /// `exported` must yield the *recorded* path id (peer-prepended, as
+    /// [`Collector::observe_interned`] documents); the per-session feed
+    /// filter is applied here. A prefix listed twice diffs against the
+    /// pending entry its first occurrence produced, exactly as an
+    /// in-place loop would.
+    fn diff_session_into<F>(
         &self,
         si: usize,
         prefixes: &[Ipv4Prefix],
@@ -915,8 +865,6 @@ impl Collector {
     {
         let _span = obs::prof::span("collector", "diff_session");
         let info = &self.sessions[si];
-        out.session = si;
-        out.ops.clear();
         let table = &self.state[si].entries;
         // Queries usually arrive in long ascending runs (table dumps are
         // fully sorted); a moving cursor turns each run into a lockstep
@@ -946,37 +894,35 @@ impl Collector {
             } else {
                 // Query order regressed. Duplicate prefixes in one call
                 // must see their own effect: the latest not-yet-applied
-                // op for this prefix overlays the table — `out.ops`
+                // op for this prefix overlays the table — `out`
                 // mirrors the pending set exactly, since an op is pushed
                 // iff the entry changes. The cursor no longer bounds the
                 // search, so fall back to a full binary search.
                 cursor = 0;
-                match out.ops.iter().rev().find(|&&(q, _)| q == prefix) {
+                match out.iter().rev().find(|&&(q, _)| q == prefix) {
                     Some(&(_, overlaid)) => overlaid,
                     None => self.state[si].get(&prefix),
                 }
             };
             match (prev, now) {
                 (None, None) => {}
-                (Some(_), None) => out.ops.push((prefix, None)),
+                (Some(_), None) => out.push((prefix, None)),
                 (prev, Some(id)) => {
                     if prev != Some(id) {
-                        out.ops.push((prefix, Some(id)));
+                        out.push((prefix, Some(id)));
                     }
                 }
             }
         }
     }
 
-    /// Dirty-set twin of [`Collector::diff_session_into`]: diff only the
-    /// prefix runs of `dirty_origins` against session `si`'s table,
-    /// probing `exported` once per origin (every prefix of an origin
-    /// shares one export). Requirements, both guaranteed by the replay's
+    /// Dirty-set twin of `diff_session_into`: diff only the prefix runs
+    /// of `dirty_origins` against session `si`'s table, probing
+    /// `exported` once per origin (every prefix of an origin shares one
+    /// export). Requirements, both guaranteed by the replay's
     /// `tracked_prefixes`-derived indexes: each `prefixes_of(origin)`
     /// slice is ascending, and no prefix appears under two origins.
-    /// Mutates nothing; shards can run it concurrently against the same
-    /// pre-observe state, exactly like `diff_session`.
-    pub fn diff_dirty_into<'a, F, P>(
+    fn diff_dirty_into<'a, F, P>(
         &self,
         si: usize,
         dirty_origins: &[Asn],
@@ -989,8 +935,6 @@ impl Collector {
     {
         let _span = obs::prof::span("collector", "diff_session");
         let info = &self.sessions[si];
-        out.session = si;
-        out.ops.clear();
         let table = &self.state[si].entries;
         for &origin in dirty_origins {
             let prefixes = prefixes_of(origin);
@@ -1014,10 +958,10 @@ impl Collector {
                 let prev = hit.then(|| table[pos].1);
                 match (prev, now) {
                     (None, None) => {}
-                    (Some(_), None) => out.ops.push((prefix, None)),
+                    (Some(_), None) => out.push((prefix, None)),
                     (prev, Some(id)) => {
                         if prev != Some(id) {
-                            out.ops.push((prefix, Some(id)));
+                            out.push((prefix, Some(id)));
                         }
                     }
                 }
@@ -1025,22 +969,17 @@ impl Collector {
         }
     }
 
-    /// Final phase of [`Collector::observe`]: apply per-session diffs
-    /// produced by [`Collector::diff_session`] against the current
-    /// (pre-apply) state, mutating the table and appending one record
-    /// per entry at `at`. `ops` must be in ascending session order —
-    /// the order the serial observe emits.
-    pub fn apply_ops(&mut self, at: SimTime, ops: &[SessionOps], log: &mut UpdateLog) {
-        debug_assert!(
-            ops.windows(2).all(|w| w[0].session < w[1].session),
-            "session diffs must apply in ascending session order"
-        );
-        for so in ops {
-            if so.ops.is_empty() {
+    /// Apply per-session diffs computed against the current
+    /// (pre-apply) state, `ops[si]` holding session `si`'s: append one
+    /// record per op at `at` in ascending session order, then merge the
+    /// ops into the session's table.
+    fn apply_ops(&mut self, at: SimTime, ops: &[SessionOps], log: &mut UpdateLog) {
+        for (si, ops) in ops.iter().enumerate() {
+            if ops.is_empty() {
                 continue;
             }
-            let sid = self.sessions[so.session].id;
-            for &(prefix, entry) in &so.ops {
+            let sid = self.sessions[si].id;
+            for &(prefix, entry) in ops {
                 match entry {
                     None => log.records.push(UpdateRecord {
                         at,
@@ -1058,7 +997,7 @@ impl Collector {
                     }),
                 }
             }
-            self.apply_table_ops(so.session, &so.ops);
+            self.apply_table_ops(si, ops);
         }
     }
 
@@ -1116,15 +1055,6 @@ impl Collector {
         }
         merged.extend_from_slice(&table[ti..]);
         std::mem::swap(table, merged);
-    }
-
-    /// Record the metrics of one completed observation, where `appended`
-    /// is the number of records it added to the log (resets included).
-    /// Serial and sharded observes both finish through here, so the
-    /// counters are independent of execution width.
-    pub fn count_observation(appended: usize) {
-        obs::incr("collector", "observe_calls", 1);
-        obs::incr("collector", "records", appended as u64);
     }
 }
 

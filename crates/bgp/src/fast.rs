@@ -275,8 +275,9 @@ impl FastConverge {
     }
 
     /// [`FastConverge::apply`] with the per-tree reconvergence delegated
-    /// to `recompute` — the seam the parallel month-replay engine uses
-    /// to shard candidate trees across worker threads (DESIGN.md §10).
+    /// to `recompute` — the seam `apply` itself runs through, and the one
+    /// tests use to capture each event's candidate set (the `uses_link`
+    /// oracle in `proptest_link_index.rs`).
     ///
     /// The graph mutation and candidate filtering happen here, exactly
     /// as in the serial path. `recompute` then receives the mutated

@@ -51,8 +51,8 @@ mod table;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnGenerator, LinkChange};
 pub use collector::{
-    clean_session_resets, CleaningConfig, Collector, CollectorConfig, CollectorState,
-    FeedKind, SessionId, SessionLiveness, SessionOps, UpdateLog, UpdateRecord,
+    clean_session_resets, CleaningConfig, Collector, CollectorConfig, CollectorState, FeedKind,
+    SessionId, SessionLiveness, UpdateLog, UpdateRecord,
 };
 pub use event::{EventSim, SimConfig, SimStats};
 pub use fast::FastConverge;

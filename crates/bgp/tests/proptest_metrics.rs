@@ -1,5 +1,4 @@
-//! Property-based invariants of `bgp::metrics` — the Fig-3 statistics
-//! the parallel month-replay engine must leave untouched:
+//! Property-based invariants of `bgp::metrics`, the Fig-3 statistics:
 //!
 //! * a CCDF is monotone non-increasing (and correctly anchored at its
 //!   extremes) for any sample set;
@@ -8,7 +7,7 @@
 //! * path-change counts are invariant under log *fragment order*: a log
 //!   assembled by merging per-session fragments in the canonical
 //!   `(time, session)` order is indistinguishable from the serially
-//!   appended log, the merge argument of DESIGN.md §10.
+//!   appended log.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -106,7 +105,7 @@ proptest! {
         }
     }
 
-    /// The §10 merge argument, as a property: shard a canonically
+    /// The merge argument, as a property: split a canonically
     /// ordered log into per-session fragments (preserving each
     /// session's subsequence) and k-way-merge them back by
     /// `(time, session)` — the result is the original log, record for
@@ -125,7 +124,7 @@ proptest! {
         records.sort_by_key(|r| (r.at, r.session));
         let canonical = UpdateLog { records: records.clone() };
 
-        // Shard per session — the unit the parallel engine diffs.
+        // Split into per-session fragments.
         let mut fragments: BTreeMap<SessionId, Vec<UpdateRecord>> = BTreeMap::new();
         for r in records {
             fragments.entry(r.session).or_default().push(r);

@@ -30,7 +30,6 @@ pub mod consensus_data;
 pub mod countermeasures;
 pub mod ixp;
 pub mod longterm;
-pub mod parallel;
 pub mod population;
 pub mod experiments;
 pub mod feed;
@@ -45,7 +44,6 @@ pub use feed::{
     month_fnv, FeedBinding, FeedClient, FeedConfig, FeedServer, FeedSlot, PushOutcome,
     ReconnectPolicy, StreamReport,
 };
-pub use parallel::{Parallelism, WorkerPool};
 pub use scenario::{MonthResult, Scale, ScaleSpec, Scenario, ScenarioConfig};
 pub use supervise::{
     Admission, CellFailure, CellOutcome, CellResult, FailureKind, RestartDecision,

@@ -21,7 +21,6 @@ use quicksand_bgp::{
 };
 use quicksand_net::{Asn, Ipv4Prefix, QsResult, QuicksandError, SimTime};
 use quicksand_obs as obs;
-use crate::parallel::{self, Parallelism};
 use quicksand_recover::{config_fingerprint, HookAction, MetricsState, PipelineSnapshot};
 use quicksand_topology::{GeneratedTopology, TopologyConfig, TopologyGenerator};
 use quicksand_tor::{
@@ -31,6 +30,7 @@ use quicksand_tor::{
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// Where the month replay's churn events come from: generated in-span
 /// from the scenario seed (batch mode), or delivered by a streaming
@@ -44,7 +44,7 @@ enum ReplaySource<'a> {
 }
 
 /// Configuration for [`Scenario::build`].
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ScenarioConfig {
     /// Topology generation.
     pub topology: TopologyConfig,
@@ -64,12 +64,27 @@ pub struct ScenarioConfig {
     pub n_control_origins: usize,
     /// Master seed for vantage/control sampling.
     pub seed: u64,
-    /// Execution width for the month replay. Serial by default (the
-    /// reference engine); any other value must — and, per the
-    /// differential harness, does — produce bitwise-identical output.
-    /// Excluded from [`ScenarioConfig::config_hash`], so checkpoints
-    /// are portable across jobs counts.
-    pub parallelism: Parallelism,
+}
+
+// Hand-written because the config fingerprint hashes this output (see
+// `quicksand_recover::config_fingerprint`). The config once carried an
+// execution width for the month replay, always at its serial default
+// when fingerprinted, so its field is still printed as that constant:
+// every pre-existing checkpoint and feed binding keeps its fingerprint.
+impl fmt::Debug for ScenarioConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScenarioConfig")
+            .field("topology", &self.topology)
+            .field("plan", &self.plan)
+            .field("consensus", &self.consensus)
+            .field("churn", &self.churn)
+            .field("collector", &self.collector)
+            .field("n_sessions", &self.n_sessions)
+            .field("n_control_origins", &self.n_control_origins)
+            .field("seed", &self.seed)
+            .field("parallelism", &format_args!("Parallelism {{ jobs: 1 }}"))
+            .finish()
+    }
 }
 
 impl Default for ScenarioConfig {
@@ -83,7 +98,6 @@ impl Default for ScenarioConfig {
             n_sessions: 70,
             n_control_origins: 300,
             seed: 0x5CEA,
-            parallelism: Parallelism::serial(),
         }
     }
 }
@@ -331,7 +345,6 @@ impl ScenarioConfig {
             n_sessions: spec.n_sessions,
             n_control_origins: spec.n_control_origins,
             seed,
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -359,15 +372,10 @@ impl ScenarioConfig {
     }
 
     /// The scenario fingerprint checkpoints and feed sessions are
-    /// stamped with. Execution width is not scenario identity — output
-    /// is bitwise identical at any jobs count — so `parallelism` is
-    /// normalized away before fingerprinting. Equals
-    /// [`Scenario::config_hash`] of the built scenario, without the
-    /// cost of building it.
+    /// stamped with. Equals [`Scenario::config_hash`] of the built
+    /// scenario, without the cost of building it.
     pub fn fingerprint(&self) -> u64 {
-        let mut identity = self.clone();
-        identity.parallelism = Parallelism::default();
-        config_fingerprint(&identity)
+        config_fingerprint(self)
     }
 }
 
@@ -528,11 +536,6 @@ impl Scenario {
     /// The fingerprint checkpoints of this scenario are stamped with; a
     /// resume against a snapshot carrying a different fingerprint is
     /// refused with [`QuicksandError::ResumeMismatch`].
-    ///
-    /// Execution width is not scenario identity — output is bitwise
-    /// identical at any jobs count — so `parallelism` is normalized
-    /// away before fingerprinting: a checkpoint taken at one `--jobs`
-    /// value resumes under any other.
     pub fn config_hash(&self) -> u64 {
         self.config.fingerprint()
     }
@@ -624,7 +627,6 @@ impl Scenario {
         mut hook: impl FnMut(&PipelineSnapshot) -> HookAction,
     ) -> QsResult<MonthResult> {
         let tracked = self.tracked_prefixes();
-        let origins: BTreeSet<Asn> = tracked.values().copied().collect();
         let prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = {
             let mut m: BTreeMap<Asn, Vec<Ipv4Prefix>> = BTreeMap::new();
             for (p, o) in &tracked {
@@ -632,14 +634,23 @@ impl Scenario {
             }
             m
         };
-        let all_prefixes: Vec<Ipv4Prefix> = tracked.keys().copied().collect();
-        let all_origin_of: Vec<Asn> = tracked.values().copied().collect();
+        // Every observation goes through `observe_dirty`, which appends
+        // records in the full scan's (ascending-prefix) order only if
+        // the origins' prefix runs, concatenated in ascending-origin
+        // order, are the ascending prefix list. The generated plans give
+        // AS i the /16 at graph index i and ASN i + 1, so they are.
+        assert!(
+            prefixes_by_origin.values().flatten().eq(tracked.keys()),
+            "tracked prefixes are not grouped by ascending origin; \
+             the dirty-set observe would reorder the update log"
+        );
+        let all_origins: Vec<Asn> = prefixes_by_origin.keys().copied().collect();
+        let prefixes_of = |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
 
-        let mut fc = FastConverge::new(self.topo.graph.clone(), origins.iter().copied());
+        let mut fc = FastConverge::new(self.topo.graph.clone(), all_origins.iter().copied());
         let mut collector = Collector::new(&self.session_peers, &self.config.collector)?;
         let mut log = UpdateLog::default();
         let horizon_end = SimTime::ZERO + self.config.churn.horizon;
-        let all_origins: Vec<Asn> = origins.iter().copied().collect();
 
         // Per-(origin, peer) memo of the interned recorded path, keyed
         // on tree epochs. Refreshed for every changed tree before each
@@ -707,39 +718,38 @@ impl Scenario {
             None => 0,
         };
 
-        // Sharded engine, engaged only off the serial default. Both
-        // event application and collector observation route through
-        // `parallel` drivers proven (tests/parallel_equivalence.rs)
-        // bitwise-identical to the serial reference below.
-        let pool = self.config.parallelism.pool();
-        let observe = |collector: &mut Collector,
-                       log: &mut UpdateLog,
-                       at: SimTime,
-                       prefixes: &[Ipv4Prefix],
-                       origins: &[Asn],
-                       cache: &ExportCache| {
-            // `origins[i]` is the origin of `prefixes[i]`: the export
-            // query is two array reads and one cache probe per
-            // (session, prefix) — no per-query map walk.
-            let exported = |peer: Asn, pi: usize| cache.get(origins[pi], peer);
-            match &pool {
-                Some(pool) => parallel::observe_sharded(
-                    collector, at, prefixes, &exported, log, pool,
-                ),
-                None => collector.observe_interned(at, prefixes, &exported, log),
+        // Per-session dirty-origin lists, reused across observations.
+        // An event's observation diffs exactly the (session, origin)
+        // pairs whose export value the refresh changed — the dirty-set
+        // dataflow of DESIGN.md §16 — instead of every prefix of every
+        // affected origin per session.
+        let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); self.session_peers.len()];
+        // The t=0 table dump and the final flush observe the whole
+        // table: a full refresh, then every tracked origin dirty for
+        // every session.
+        let observe_all = |fc: &FastConverge,
+                           collector: &mut Collector,
+                           cache: &mut ExportCache,
+                           dirty: &mut [Vec<Asn>],
+                           log: &mut UpdateLog,
+                           at: SimTime| {
+            refresh(fc, collector, cache, &all_origins);
+            for d in dirty.iter_mut() {
+                d.clone_from(&all_origins);
             }
+            let exported = |peer: Asn, origin: Asn| cache.get(origin, peer);
+            collector.observe_dirty(at, dirty, &prefixes_of, &exported, log);
         };
 
         // Initial table dump at t = 0 (already in the log on resume).
         if resume.is_none() {
-            refresh(&fc, &mut collector, &mut cache, &all_origins);
-            observe(
+            observe_all(
+                &fc,
                 &mut collector,
+                &mut cache,
+                &mut dirty,
                 &mut log,
                 SimTime::ZERO,
-                &all_prefixes,
-                &all_origin_of,
-                &cache,
             );
         }
 
@@ -771,14 +781,6 @@ impl Scenario {
                     });
                 }
             }
-            // Per-session dirty-origin lists, reused across events. An
-            // event's observation diffs exactly the (session, origin)
-            // pairs whose export value the refresh changed — the
-            // dirty-set dataflow of DESIGN.md §16 — instead of every
-            // prefix of every affected origin per session.
-            let mut dirty: Vec<Vec<Asn>> = vec![Vec::new(); self.session_peers.len()];
-            let prefixes_of =
-                |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
             let mut seen = 0usize;
             for (i, ev) in events.by_ref().enumerate() {
                 let ev = ev?;
@@ -792,10 +794,7 @@ impl Scenario {
                 }
                 let affected = {
                     let _span = obs::prof::span("churn", "apply");
-                    match &pool {
-                        Some(pool) => parallel::apply_event_sharded(&mut fc, ev.change, pool),
-                        None => fc.apply(ev.change),
-                    }
+                    fc.apply(ev.change)
                 };
                 if !affected.is_empty() {
                     // Only the changed trees advanced their epochs, so
@@ -826,24 +825,7 @@ impl Scenario {
                     // the next observation.
                     if dirty.iter().any(|d| !d.is_empty()) {
                         let exported = |peer: Asn, origin: Asn| cache.get(origin, peer);
-                        match &pool {
-                            Some(pool) => parallel::observe_dirty_sharded(
-                                &mut collector,
-                                ev.at,
-                                &dirty,
-                                &prefixes_of,
-                                &exported,
-                                &mut log,
-                                pool,
-                            ),
-                            None => collector.observe_dirty(
-                                ev.at,
-                                &dirty,
-                                &prefixes_of,
-                                &exported,
-                                &mut log,
-                            ),
-                        }
+                        collector.observe_dirty(ev.at, &dirty, &prefixes_of, &exported, &mut log);
                     }
                 }
                 let done = i as u64 + 1;
@@ -872,17 +854,16 @@ impl Scenario {
             obs::gauge("churn", "replay_rate", n_events as f64 / replay_s);
         }
 
-        // Final observation flushes trailing session resets; it queries
-        // every tracked prefix, so every origin must be fresh (on
-        // resume this is also the first full-table refresh).
-        refresh(&fc, &mut collector, &mut cache, &all_origins);
-        observe(
+        // Final observation flushes trailing session resets; it
+        // observes every tracked origin, so every origin must be fresh
+        // (on resume this is also the first full-table refresh).
+        observe_all(
+            &fc,
             &mut collector,
+            &mut cache,
+            &mut dirty,
             &mut log,
             horizon_end,
-            &all_prefixes,
-            &all_origin_of,
-            &cache,
         );
 
         let (cleaned, removed_duplicates, reset_bursts) =

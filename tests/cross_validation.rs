@@ -105,7 +105,7 @@ fn fast_converge_equals_event_sim_after_churn() {
 /// hand-picked flips) drives both `FastConverge` and the message-level
 /// `EventSim`, and after every event all stable paths for several
 /// tracked origins are identical. This is the oracle that lets the
-/// parallel replay engine treat `FastConverge` as ground truth.
+/// month replay treat `FastConverge` as ground truth.
 #[test]
 fn fast_converge_equals_event_sim_under_generated_churn() {
     let t = TopologyGenerator::new(TopologyConfig::small(505)).generate();
@@ -163,8 +163,7 @@ fn fast_converge_equals_event_sim_under_generated_churn() {
 /// tree at initial convergence. (Per-event message-level quiescence at
 /// 20k ASes is what the fast engine exists to avoid, so the event-sim
 /// leg checks the converged state once.) `#[ignore]` by default and
-/// gated on `QUICKSAND_TEST_LARGE=1`, like the parallel-equivalence
-/// large gate.
+/// gated on `QUICKSAND_TEST_LARGE=1`.
 #[test]
 #[ignore = "large tier: minutes of CPU; QUICKSAND_TEST_LARGE=1 cargo test -- --ignored"]
 fn large_tier_engines_agree_under_generated_churn() {

@@ -8,6 +8,7 @@ use quicksand_core::countermeasures::{
 use quicksand_core::experiments::{
     fig2_left, fig2_right, fig3_left, fig3_right, table1,
 };
+use quicksand_core::month_fnv;
 use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
 use quicksand_net::Asn;
 use quicksand_topology::RoutingTree;
@@ -204,6 +205,18 @@ fn pipeline_is_deterministic() {
     let b = Scenario::build(ScenarioConfig::small(606)).run_month().unwrap();
     assert_eq!(a.raw.len(), b.raw.len());
     assert_eq!(a.cleaned.records, b.cleaned.records);
+}
+
+/// The small tier's raw update log is pinned byte for byte: a change to
+/// the replay's record order (or content) fails here under plain
+/// `cargo test`, not only in the benchmark. Same value as the
+/// benchmark's small-tier pin and `BENCH_monthreplay.json`.
+#[test]
+fn small_tier_raw_log_fnv_is_pinned() {
+    let month = Scenario::build(ScenarioConfig::small(0xA11))
+        .run_month()
+        .expect("valid collector config");
+    assert_eq!(month_fnv(&month), 0x8b87_8e69_74f3_c613);
 }
 
 /// A full month's log survives the MRT-style binary round trip, and the

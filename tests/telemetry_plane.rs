@@ -1,13 +1,11 @@
 //! Telemetry-plane integration (DESIGN.md §13): the JSONL sink stays
-//! line-atomic when every worker-pool thread emits through it at once,
-//! across the same `--jobs` widths the replay engine uses.
+//! line-atomic when several threads emit through it at once — the
+//! situation of `repro serve`'s concurrent fleet cells.
 //!
-//! The worker pool re-installs the constructing thread's subscriber on
-//! each pool thread, so a single [`JsonlSubscriber`] receives genuinely
-//! concurrent `emit` calls — exactly the situation where a torn write
-//! would interleave two JSON objects on one line.
+//! Every thread installs the same [`JsonlSubscriber`], so it receives
+//! genuinely concurrent `emit` calls — exactly the situation where a
+//! torn write would interleave two JSON objects on one line.
 
-use quicksand_core::parallel::WorkerPool;
 use quicksand_obs::{self as obs, Event, JsonlSubscriber, Level};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -22,43 +20,39 @@ fn jsonl_lines_stay_atomic_under_concurrent_worker_emits() {
     ));
     std::fs::create_dir_all(&dir).unwrap();
 
-    for &jobs in &[2usize, 4, 8] {
-        let path = dir.join(format!("events-{jobs}.jsonl"));
-        // More tasks than slots, so slots are reused and threads run
-        // long enough to overlap.
-        let n_tasks = jobs as u64 * 3 + 1;
+    for &width in &[2usize, 4, 8] {
+        let path = dir.join(format!("events-{width}.jsonl"));
+        // More tasks than threads, so each thread runs several and the
+        // threads run long enough to overlap.
+        let n_tasks = width as u64 * 3 + 1;
         let jsonl: Arc<dyn obs::Subscriber> =
             Arc::new(JsonlSubscriber::create(&path).unwrap());
-        obs::with_subscriber(jsonl, || {
-            // Construct the pool *inside* the override: it captures the
-            // calling thread's subscriber for its workers.
-            let pool = WorkerPool::new(jobs);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n_tasks)
-                .map(|t| {
-                    Box::new(move || {
-                        for k in 0..EVENTS_PER_TASK {
-                            // A long message makes a torn write far
-                            // more likely to straddle buffer flushes.
-                            obs::emit(
-                                Event::new(
-                                    Level::Info,
-                                    "parallel",
-                                    "burst",
-                                    format!(
-                                        "task {t} event {k} {}",
-                                        "x".repeat(96)
-                                    ),
-                                )
-                                .with("task", t)
-                                .with("k", k),
-                            );
+        std::thread::scope(|scope| {
+            for worker in 0..width as u64 {
+                let jsonl = jsonl.clone();
+                scope.spawn(move || {
+                    obs::with_subscriber(jsonl, || {
+                        for t in (worker..n_tasks).step_by(width) {
+                            for k in 0..EVENTS_PER_TASK {
+                                // A long message makes a torn write far
+                                // more likely to straddle buffer flushes.
+                                obs::emit(
+                                    Event::new(
+                                        Level::Info,
+                                        "telemetry",
+                                        "burst",
+                                        format!("task {t} event {k} {}", "x".repeat(96)),
+                                    )
+                                    .with("task", t)
+                                    .with("k", k),
+                                );
+                            }
                         }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_region(tasks);
-            obs::flush();
+                    });
+                });
+            }
         });
+        jsonl.flush();
 
         let text = std::fs::read_to_string(&path).unwrap();
         let mut bursts: BTreeSet<(u64, u64)> = BTreeSet::new();
@@ -66,25 +60,25 @@ fn jsonl_lines_stay_atomic_under_concurrent_worker_emits() {
             // Every line is one standalone JSON object — a torn or
             // interleaved write fails right here.
             let v: serde::Value = serde_json::from_str(line).unwrap_or_else(|e| {
-                panic!("jobs={jobs}: torn JSONL line {line:?}: {e}")
+                panic!("width={width}: torn JSONL line {line:?}: {e}")
             });
             if v.field("name").and_then(|n| n.as_str()) == Some("burst") {
                 let fields = v.field("fields").expect("events carry a fields map");
                 let num = |key: &str| match fields.field(key) {
                     Some(serde::Value::U64(n)) => *n,
                     Some(serde::Value::I64(n)) => *n as u64,
-                    other => panic!("jobs={jobs}: bad {key} field: {other:?}"),
+                    other => panic!("width={width}: bad {key} field: {other:?}"),
                 };
                 assert!(
                     bursts.insert((num("task"), num("k"))),
-                    "jobs={jobs}: duplicate burst event"
+                    "width={width}: duplicate burst event"
                 );
             }
         }
         assert_eq!(
             bursts.len() as u64,
             n_tasks * EVENTS_PER_TASK,
-            "jobs={jobs}: lost events in the JSONL stream"
+            "width={width}: lost events in the JSONL stream"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
