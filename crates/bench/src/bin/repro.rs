@@ -11,8 +11,6 @@
 //!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
 //!        [--halt-after=K] [-v|--verbose] [-q|--quiet]
 //! repro report [--check] <run.json> [other.json]
-//! repro bench-snapshot [--small|--medium|--large|--scale=SPEC]
-//!        [--bench-out=BENCH_monthreplay.json] [--baseline=PATH]
 //! repro serve [--small|--medium|--large|--scale=SPEC]
 //!        [--cells=N] [--width=K] [--seed=S]
 //!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--max-restarts=R]
@@ -38,10 +36,8 @@
 //! ~20k-AS / ~100k-prefix Internet-scale tier. Without a scale flag the
 //! batch mode runs the full EXPERIMENTS.md configuration and
 //! `serve`/`feed` default to medium (their historical behavior).
-//! `bench-snapshot` times the month replay plain and under the span
-//! profiler, verifies the two logs are identical, and writes the
-//! wall-clock/events-per-sec numbers as JSON — the baseline CI archives
-//! as an artifact.
+//! A batch word that names no artifact, or a flag the batch mode does
+//! not take, exits 2 before any scenario is built.
 //!
 //! Observability: progress notes are `quicksand-obs` events rendered to
 //! stderr (`-v` adds span timings, `--quiet` silences both events and
@@ -144,7 +140,7 @@ use quicksand_core::supervise::{
 use quicksand_core::telemetry::TelemetryServer;
 use quicksand_attack::monitord::{MonitorConfig, StreamingMonitor};
 use quicksand_bgp::fault::{ConnChaosPlan, ConnFaultKind, FaultInjector, FaultProfile};
-use quicksand_bgp::feed::{fnv64, ChurnFeedSource, FeedMode, FeedSource, MrtFeedSource};
+use quicksand_bgp::feed::{ChurnFeedSource, FeedMode, FeedSource, MrtFeedSource};
 use quicksand_bgp::{
     clean_session_resets, metrics, CleaningConfig, ReplayChaosPlan, Route, UpdateMessage,
     UpdateRecord,
@@ -158,24 +154,21 @@ use quicksand_traffic::{CircuitFlowConfig, TcpConfig};
 use std::sync::Arc;
 
 /// Counting wrapper over the system allocator, installed only in this
-/// binary: `bench-snapshot` reads the counters around the month replay
-/// to report allocations/bytes per churn event — the zero-allocation
-/// hot-path metric tracked in `BENCH_monthreplay.json`.
+/// binary so `--profile-out` profiles attribute allocations per span
+/// (see [`alloc_probe`]).
 mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static BYTES: AtomicU64 = AtomicU64::new(0);
 
     pub struct CountingAlloc;
 
-    // SAFETY: delegates every operation to `System`; the counters are
-    // lock-free atomics, safe in any allocation context.
+    // SAFETY: delegates every operation to `System`; the counter is a
+    // lock-free atomic, safe in any allocation context.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
             unsafe { System.alloc(layout) }
         }
 
@@ -185,20 +178,13 @@ mod alloc_counter {
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(new_size as u64, Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
             unsafe { System.alloc_zeroed(layout) }
         }
-    }
-
-    /// Current (allocations, bytes) totals since process start.
-    pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Relaxed), BYTES.load(Relaxed))
     }
 }
 
@@ -206,11 +192,10 @@ mod alloc_counter {
 static GLOBAL: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 /// The allocation-count probe this binary donates to the span profiler
-/// (`obs::prof::set_alloc_probe`): span alloc deltas then come from the
-/// same counting allocator `bench-snapshot` reports, so a profile's
-/// per-span allocations reconcile with the per-event totals.
+/// (`obs::prof::set_alloc_probe`): the total heap allocations since
+/// process start, read from the counting allocator.
 fn alloc_probe() -> u64 {
-    alloc_counter::snapshot().0
+    alloc_counter::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Resolve the console log filter: `--log-level=SPEC` wins, then the
@@ -236,9 +221,59 @@ fn log_filter(args: &[String], verbose: bool) -> obs::LevelFilter {
     obs::LevelFilter::uniform(if verbose { Level::Debug } else { Level::Info })
 }
 
-/// The full-scale configuration used for EXPERIMENTS.md.
-fn full_config() -> ScenarioConfig {
-    ScenarioConfig::default()
+/// The artifacts the batch mode can produce (`all` runs every one but
+/// `chaos`).
+const EXPERIMENTS: &[&str] = &[
+    "all", "table1", "fig2-left", "fig2-right", "fig3-left", "fig3-right", "model", "hijack",
+    "intercept", "convergence", "ixp", "population", "static-vs-dynamic", "stealth",
+    "longterm", "countermeasures", "chaos",
+];
+
+/// The batch mode's flags; a trailing `=` marks one that takes a value.
+const BATCH_FLAGS: &[&str] = &[
+    "--small", "--medium", "--large", "--scale=", "--intensity=", "--obs-out=",
+    "--obs-jsonl=", "--profile-out=", "--profile-sample=", "--log-level=",
+    "--checkpoint-every=", "--checkpoint-dir=", "--resume-from=", "--halt-after=", "-v",
+    "--verbose", "-q", "--quiet",
+];
+
+/// Reject a batch command line with a word that names no artifact or a
+/// flag the batch mode does not take, before any scenario is built: a
+/// typo such as `--smal` must not silently run the full-scale default.
+fn check_batch_args(args: &[String]) -> Result<(), String> {
+    for arg in args {
+        if arg.starts_with('-') {
+            let known = BATCH_FLAGS.iter().any(|flag| {
+                if flag.ends_with('=') {
+                    arg.starts_with(flag)
+                } else {
+                    arg == flag
+                }
+            });
+            if !known {
+                return Err(format!("unknown flag {arg:?}"));
+            }
+        } else if !EXPERIMENTS.contains(&arg.as_str()) {
+            return Err(format!(
+                "unknown subcommand or artifact {arg:?} (expected report, serve, feed, or one of: {})",
+                EXPERIMENTS.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The value of `--flag=N` (`flag` includes the `=`); a value that is
+/// not a non-negative integer is a usage error.
+fn u64_flag(args: &[String], flag: &str) -> Option<u64> {
+    let s = args.iter().find_map(|a| a.strip_prefix(flag))?;
+    match s.parse::<u64>() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
+            std::process::exit(exitcode::USAGE);
+        }
+    }
 }
 
 /// Resolve the scenario scale from the command line: `--scale=SPEC`
@@ -353,7 +388,8 @@ impl Ctx {
     fn new(scale: Option<&Scale>, recover: RecoverOpts) -> Ctx {
         let cfg = match scale {
             Some(sc) => ScenarioConfig::at_scale(sc, 0xA11),
-            None => full_config(),
+            // The full-scale configuration used for EXPERIMENTS.md.
+            None => ScenarioConfig::default(),
         };
         progress(format!(
             "building scenario ({} ASes, {} relays)…",
@@ -531,252 +567,6 @@ fn report_command(args: &[String]) -> i32 {
     }
 }
 
-/// Everything `bench-snapshot` measures about one month replay.
-struct BenchRun {
-    month: MonthResult,
-    /// Scenario sizing (ASes, tracked prefixes, collector sessions) —
-    /// recorded in the tier JSON so CI can assert scale floors.
-    ases: usize,
-    tracked: usize,
-    sessions: usize,
-    wall_s: f64,
-    events: u64,
-    /// Events/sec over the replay loop alone (the `churn.replay_rate`
-    /// gauge), excluding scenario build and cleaning.
-    replay_events_per_s: f64,
-    recomputes: u64,
-    allocs: u64,
-    alloc_bytes: u64,
-}
-
-/// `repro bench-snapshot [--small|--medium|--large|--scale=SPEC]
-/// [--bench-out=PATH] [--baseline=PATH]`: the month-replay hot-path
-/// benchmark. Runs the replay once plain and once with the span
-/// profiler recording every span, verifies the two runs produce
-/// byte-identical update logs (exit 1 otherwise — the differential
-/// gate), and writes wall-clock, replay events/sec, tree recomputes,
-/// per-stage span time and counting-allocator totals as one tier of
-/// the tiered `BENCH_monthreplay.json` (other tiers already in the
-/// file are preserved — see [`quicksand_bench::snapshot`]).
-/// `--baseline=PATH` embeds a previously captured snapshot under
-/// `"baseline"` with its own baseline stripped (one-level cap),
-/// recording a before/after pair from the same host. Each run uses a
-/// scoped metrics registry, so the measurement does not pollute (and
-/// is not polluted by) the global registry.
-fn bench_snapshot_command(args: &[String]) -> i32 {
-    let scale = scale_arg(args);
-    let out_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--bench-out="))
-        .unwrap_or("BENCH_monthreplay.json");
-    let baseline = args.iter().find_map(|a| a.strip_prefix("--baseline="));
-    let (scenario_name, base) = match &scale {
-        Some(sc) => (sc.to_string(), ScenarioConfig::at_scale(sc, 0xA11)),
-        None => ("full".to_string(), full_config()),
-    };
-
-    let timed_run = |profiled: bool| -> BenchRun {
-        let scenario = Scenario::build(base.clone());
-        let ases = scenario.topo.graph.len();
-        let tracked = scenario.tracked_prefixes().len();
-        let sessions = scenario.session_peers.len();
-        let registry = Arc::new(obs::Registry::default());
-        if profiled {
-            obs::prof::reset();
-            obs::prof::set_sample_every(1);
-            obs::prof::set_enabled(true);
-        }
-        let run = obs::with_metrics(registry.clone(), || {
-            let (allocs0, bytes0) = alloc_counter::snapshot();
-            let started = std::time::Instant::now();
-            let month = match scenario.run_month() {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("error: month replay failed: {e}");
-                    std::process::exit(exitcode::USAGE);
-                }
-            };
-            let wall_s = started.elapsed().as_secs_f64();
-            let (allocs1, bytes1) = alloc_counter::snapshot();
-            let snap = registry.snapshot();
-            let counter = |stage: &str, name: &str| {
-                snap.counters
-                    .iter()
-                    .find(|c| c.stage == stage && c.name == name && c.session.is_none())
-                    .map_or(0, |c| c.value)
-            };
-            let events = counter("churn", "events");
-            let replay_events_per_s = snap
-                .gauges
-                .iter()
-                .find(|g| g.stage == "churn" && g.name == "replay_rate")
-                .map_or(events as f64 / wall_s.max(f64::MIN_POSITIVE), |g| g.value);
-            BenchRun {
-                month,
-                ases,
-                tracked,
-                sessions,
-                wall_s,
-                events,
-                replay_events_per_s,
-                recomputes: counter("routing", "tree_recomputes"),
-                allocs: allocs1 - allocs0,
-                alloc_bytes: bytes1 - bytes0,
-            }
-        });
-        if profiled {
-            obs::prof::set_enabled(false);
-        }
-        run
-    };
-
-    eprintln!(
-        "bench-snapshot: month replay, {scenario_name} scenario, \
-         serial vs serial+profiler"
-    );
-    let serial = timed_run(false);
-    // Second run: the same replay with the span profiler recording
-    // every span — the telemetry-overhead measurement. The profiled
-    // replay must stay within 5% of the serial allocation budget (the
-    // `alloc_budget` tripwire enforces this in CI).
-    let profiled = timed_run(true);
-    // Per-stage replay split from the profiled run's span tree: the
-    // apply/refresh/observe µs under the replay span (t=0 and final
-    // full dumps excluded — they are not per-event work). This is the
-    // split the dirty-set work (DESIGN.md §16) attacks, so the snapshot
-    // tracks it per tier.
-    // The cold start (routing trees plus the link→tree index, built
-    // before the t=0 dump) is reported beside the replay split, not in
-    // it: it is paid once per run, and again on every resume.
-    let (stage_us, cold_start_us) = {
-        let profile = obs::prof::capture();
-        let stage_total = |suffix: &str| -> f64 {
-            profile
-                .entries
-                .iter()
-                .filter(|e| e.path.starts_with("churn.replay;") && e.path.ends_with(suffix))
-                .map(|e| e.total_ns)
-                .sum::<u64>() as f64
-                / 1e3
-        };
-        let stage_us = format!(
-            "{{ \"apply\": {:.1}, \"refresh\": {:.1}, \"observe\": {:.1} }}",
-            stage_total("churn.apply"),
-            stage_total("collector.refresh"),
-            stage_total("collector.observe"),
-        );
-        let cold_start_us = profile
-            .entries
-            .iter()
-            .filter(|e| e.path.rsplit(';').next() == Some("fast.cold_start"))
-            .map(|e| e.total_ns)
-            .sum::<u64>() as f64
-            / 1e3;
-        (stage_us, cold_start_us)
-    };
-    obs::prof::reset();
-    let same_month = |a: &BenchRun, b: &BenchRun| {
-        a.month.raw == b.month.raw
-            && a.month.cleaned == b.month.cleaned
-            && a.month.removed_duplicates == b.month.removed_duplicates
-            && a.month.reset_bursts == b.month.reset_bursts
-    };
-    let identical = same_month(&serial, &profiled);
-    let mut raw_bytes = Vec::new();
-    quicksand_bgp::mrt::write_log(&serial.month.raw, &mut raw_bytes)
-        .expect("writing to a Vec cannot fail");
-    let raw_log_fnv = fnv64(&raw_bytes);
-    let events = serial.events;
-    let per_event = |x: u64| x as f64 / (events.max(1)) as f64;
-    let run_json = |r: &BenchRun| {
-        format!(
-            "{{ \"wall_s\": {:.6}, \"events_per_s\": {:.3}, \"recomputes\": {}, \
-             \"allocs\": {}, \"alloc_bytes\": {}, \"allocs_per_event\": {:.2}, \
-             \"bytes_per_event\": {:.1} }}",
-            r.wall_s,
-            r.replay_events_per_s,
-            r.recomputes,
-            r.allocs,
-            r.alloc_bytes,
-            per_event(r.allocs),
-            per_event(r.alloc_bytes),
-        )
-    };
-    let baseline_text = match baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return exitcode::USAGE;
-            }
-        },
-        None => None,
-    };
-    // The headline telemetry cost: extra allocations per event with the
-    // profiler recording every span, relative to the profiler-off
-    // serial run.
-    let telemetry_overhead_pct = (per_event(profiled.allocs)
-        / per_event(serial.allocs).max(f64::MIN_POSITIVE)
-        - 1.0)
-        * 100.0;
-    let tier_json = format!(
-        "{{ \"scenario\": \"{scenario_name}\", \
-         \"ases\": {}, \"tracked_prefixes\": {}, \"sessions\": {}, \
-         \"events\": {events}, \"raw_records\": {}, \
-         \"raw_log_fnv\": \"{raw_log_fnv:#018x}\", \
-         \"serial\": {}, \
-         \"serial_profiled\": {}, \
-         \"stage_us\": {stage_us}, \
-         \"cold_start_us\": {cold_start_us:.1}, \
-         \"telemetry_overhead_pct\": {telemetry_overhead_pct:.3}, \
-         \"identical\": {identical} }}",
-        serial.ases,
-        serial.tracked,
-        serial.sessions,
-        serial.month.raw.len(),
-        run_json(&serial),
-        run_json(&profiled),
-    );
-    // Merge this tier into the artifact, preserving the other tiers
-    // (and, absent --baseline, the recorded baseline).
-    let existing = std::fs::read_to_string(out_path).ok();
-    let json = match quicksand_bench::snapshot::merge_snapshot(
-        existing.as_deref(),
-        &scenario_name,
-        &tier_json,
-        baseline_text.as_deref(),
-    ) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return exitcode::USAGE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return 2;
-    }
-    eprintln!(
-        "bench-snapshot: {events} events; serial {:.3}s ({:.0} ev/s replay, \
-         {:.2} allocs/event), profiled {:.2} allocs/event \
-         ({telemetry_overhead_pct:+.2}%, cold start {:.3}s); \
-         raw log fnv {raw_log_fnv:#018x}; wrote {out_path}",
-        serial.wall_s,
-        serial.replay_events_per_s,
-        per_event(serial.allocs),
-        per_event(profiled.allocs),
-        cold_start_us / 1e6,
-    );
-    if !identical {
-        eprintln!(
-            "error: replay diverged between the serial and profiled runs \
-             (differential gate)"
-        );
-        return exitcode::CHECK_FAILED;
-    }
-    exitcode::OK
-}
-
 /// `repro serve`: the supervised resident mode. Runs `--cells`
 /// scenarios (seeds `--seed + i`) as isolated fault domains under the
 /// [`Supervisor`] — at most `--width` concurrently — each
@@ -795,18 +585,7 @@ fn serve_command(args: &[String]) -> i32 {
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
     let obs_out = args.iter().find_map(|a| a.strip_prefix("--obs-out="));
-    let parse = |flag: &str, default: u64| -> u64 {
-        args.iter()
-            .find_map(|a| a.strip_prefix(flag))
-            .map(|s| match s.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
-                    std::process::exit(exitcode::USAGE);
-                }
-            })
-            .unwrap_or(default)
-    };
+    let parse = |flag: &str, default: u64| u64_flag(args, flag).unwrap_or(default);
     let cells = parse("--cells=", 8) as usize;
     let width = parse("--width=", 4).max(1) as usize;
     let every = parse("--checkpoint-every=", 25);
@@ -1087,18 +866,7 @@ fn feed_command(args: &[String]) -> i32 {
             log_filter(args, verbose),
         )));
     }
-    let parse = |flag: &str, default: u64| -> u64 {
-        args.iter()
-            .find_map(|a| a.strip_prefix(flag))
-            .map(|s| match s.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
-                    std::process::exit(exitcode::USAGE);
-                }
-            })
-            .unwrap_or(default)
-    };
+    let parse = |flag: &str, default: u64| u64_flag(args, flag).unwrap_or(default);
     let Some(connect) = args.iter().find_map(|a| a.strip_prefix("--connect=")) else {
         eprintln!("error: feed requires --connect=HOST:PORT");
         return exitcode::USAGE;
@@ -1123,10 +891,7 @@ fn feed_command(args: &[String]) -> i32 {
         .find_map(|a| a.strip_prefix("--peer="))
         .unwrap_or("cell-0");
     let mrt = args.iter().find_map(|a| a.strip_prefix("--mrt="));
-    let kill_after = args
-        .iter()
-        .any(|a| a.starts_with("--kill-after="))
-        .then(|| parse("--kill-after=", 0));
+    let kill_after = u64_flag(args, "--kill-after=");
 
     // The stream: a churn schedule (identity-stamped with the scenario
     // fingerprint the serving cell expects) or an MRT log (fingerprint
@@ -1204,15 +969,12 @@ fn feed_command(args: &[String]) -> i32 {
 
 fn main() {
     // Donate the counting allocator to the span profiler before any
-    // subcommand runs: profiles (batch `--profile-out` and the
-    // bench-snapshot profiled run) then attribute allocations per span.
+    // subcommand runs, so `--profile-out` profiles attribute
+    // allocations per span.
     obs::prof::set_alloc_probe(alloc_probe);
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "report") {
         std::process::exit(report_command(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "bench-snapshot") {
-        std::process::exit(bench_snapshot_command(&args[1..]));
     }
     if args.first().is_some_and(|a| a == "serve") {
         std::process::exit(serve_command(&args[1..]));
@@ -1221,22 +983,16 @@ fn main() {
         std::process::exit(feed_command(&args[1..]));
     }
 
+    if let Err(e) = check_batch_args(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(exitcode::USAGE);
+    }
     let scale = scale_arg(&args);
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
     let obs_out = args.iter().find_map(|a| a.strip_prefix("--obs-out="));
     let obs_jsonl = args.iter().find_map(|a| a.strip_prefix("--obs-jsonl="));
-    let parse_u64 = |flag: &str| -> Option<u64> {
-        args.iter()
-            .find_map(|a| a.strip_prefix(flag))
-            .map(|s| match s.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
-                    std::process::exit(exitcode::USAGE);
-                }
-            })
-    };
+    let parse_u64 = |flag: &str| u64_flag(&args, flag);
     let recover = RecoverOpts {
         every: parse_u64("--checkpoint-every=").unwrap_or(0),
         dir: args

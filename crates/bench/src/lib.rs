@@ -6,8 +6,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod snapshot;
-
 pub mod exitcode {
     //! The `repro` binary's typed exit codes.
     //!

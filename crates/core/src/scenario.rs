@@ -357,9 +357,8 @@ impl ScenarioConfig {
 
     /// A medium configuration for benchmarks: between [`Self::small`]
     /// and the full scale — 800 ASes, two weeks of churn, 30 sessions.
-    /// This is the historical scenario `repro bench-snapshot` measures
-    /// for the month-replay perf trajectory (`BENCH_monthreplay.json`).
-    /// Equivalent to `at_scale(&Scale::Medium, seed)`.
+    /// The tier of qsbench's `medium-month` and `medium-resume`
+    /// workloads. Equivalent to `at_scale(&Scale::Medium, seed)`.
     pub fn medium(seed: u64) -> Self {
         ScenarioConfig::at_scale(&Scale::Medium, seed)
     }

@@ -24,7 +24,7 @@
 //! looks like at scrape time.
 
 use quicksand_obs::Registry;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -663,6 +663,15 @@ impl Drop for TelemetryServer {
     }
 }
 
+/// Longest request head (request line plus headers) a scrape may send;
+/// a longer one is answered 431.
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Total time a client has to send its request head. The server is
+/// single-threaded, so this bounds how long one client that trickles
+/// bytes can hold it.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
 fn serve_loop(listener: TcpListener, fleet: Arc<FleetTelemetry>, stop: Arc<AtomicBool>) {
     for conn in listener.incoming() {
         if stop.load(Ordering::Acquire) {
@@ -670,32 +679,58 @@ fn serve_loop(listener: TcpListener, fleet: Arc<FleetTelemetry>, stop: Arc<Atomi
         }
         let Ok(stream) = conn else { continue };
         // A stuck client must not wedge the scrape plane.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
         let _ = handle_conn(stream, &fleet);
     }
 }
 
-fn handle_conn(stream: TcpStream, fleet: &FleetTelemetry) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain the header block so the client sees a clean close.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 2 {
-        header.clear();
+/// Read the request head, up to the blank line that ends it or EOF,
+/// within [`HEAD_DEADLINE`] in total. `None` when it outgrows
+/// [`MAX_HEAD_BYTES`]; a timeout is an error.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        if head.len() > MAX_HEAD_BYTES {
+            return Ok(None);
+        }
+        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n") {
+            return Ok(Some(head));
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(&mut buf)? {
+            0 => return Ok(Some(head)),
+            n => head.extend_from_slice(&buf[..n]),
+        }
     }
-    let path = request_line
-        .strip_prefix("GET ")
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or("");
+}
+
+fn handle_conn(mut stream: TcpStream, fleet: &FleetTelemetry) -> std::io::Result<()> {
+    let head = read_head(&mut stream)?;
+    let head = head.as_deref().map(String::from_utf8_lossy);
+    // `None` when the head outgrew MAX_HEAD_BYTES.
+    let path = head.as_deref().map(|h| {
+        h.strip_prefix("GET ")
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or("")
+    });
     let (status, content_type, body) = match path {
-        "/metrics" => (
+        None => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n".to_string(),
+        ),
+        Some("/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             fleet.render_metrics(),
         ),
-        "/healthz" => {
+        Some("/healthz") => {
             let (healthy, body) = fleet.healthz();
             (
                 if healthy { "200 OK" } else { "503 Service Unavailable" },
@@ -703,21 +738,23 @@ fn handle_conn(stream: TcpStream, fleet: &FleetTelemetry) -> std::io::Result<()>
                 body,
             )
         }
-        "/cells" => ("200 OK", "application/json", fleet.render_cells_json()),
-        _ => (
+        Some("/cells") => ("200 OK", "application/json", fleet.render_cells_json()),
+        Some(_) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
             "not found\n".to_string(),
         ),
     };
-    let mut stream = reader.into_inner();
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(response.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    // FIN before the close: a client whose unread bytes turn the close
+    // into a reset still reads the whole response first.
+    stream.shutdown(std::net::Shutdown::Write)
 }
 
 /// Blocking HTTP GET against a local scrape endpoint: `(status, body)`.
@@ -850,6 +887,53 @@ mod tests {
                 || http_get(addr, "/metrics").is_err(),
             "stopped server must not answer"
         );
+    }
+
+    #[test]
+    fn oversized_request_head_gets_431_and_the_server_keeps_serving() {
+        let (fleet, _cell) = fleet_with_one_cell();
+        let mut server = TelemetryServer::start("127.0.0.1:0", fleet).expect("bind localhost");
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // One 64 KiB line with no newline; the server may stop reading
+        // (and close) before all of it is written.
+        let _ = stream.write_all(&vec![b'a'; 64 * 1024]);
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response:?}");
+        let (status, _) = http_get(addr, "/healthz").unwrap();
+        assert_eq!(status, 200);
+        server.stop();
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_server() {
+        let (fleet, _cell) = fleet_with_one_cell();
+        let mut server = TelemetryServer::start("127.0.0.1:0", fleet).expect("bind localhost");
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).unwrap();
+        // One byte every 200 ms for 6 s, never finishing the request
+        // line, unless the server hangs up first.
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..30 {
+                if stream.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        let started = Instant::now();
+        let mut probe = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).unwrap();
+        probe.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write!(probe, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut response = String::new();
+        probe.read_to_string(&mut response).expect("probe answered");
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response:?}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        trickler.join().unwrap();
+        server.stop();
     }
 
     #[test]

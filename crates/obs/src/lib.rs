@@ -61,7 +61,7 @@ pub use metrics::{
 pub use prof::{Profile, ProfileEntry};
 pub use report::{ProfileSection, RunReport, SupervisorSection, REQUIRED_STAGES};
 pub use ring::{RingSubscriber, DEFAULT_RING_CAP};
-pub use span::{SpanGuard, SpanTree};
+pub use span::SpanGuard;
 pub use subscriber::{
     ConsoleSubscriber, FanoutSubscriber, JsonlSubscriber, LevelFilter, MemorySubscriber,
     NoopSubscriber, Subscriber,

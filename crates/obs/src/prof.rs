@@ -5,7 +5,7 @@
 //! [`span`] costs one relaxed atomic load and returns an inert guard —
 //! no thread-local access, no clock read, no allocation. When **on**,
 //! each span costs two monotonic clock reads, two alloc-probe reads,
-//! and one short mutex hold on a preallocated [`SpanTree`]; the only
+//! and one short mutex hold on the thread's preallocated span tree; the only
 //! allocations happen on a site's *first* visit (node insert) and at
 //! [`capture`] time, never per event. That is what keeps profiled
 //! serial replay within 5% of the 89 allocs/event budget (enforced by
@@ -40,8 +40,6 @@ use crate::span::{self, SpanGuard, SpanNodeStats, SpanTree, SPAN_LATENCY_BUCKETS
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-pub use crate::span::with_tree;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
@@ -81,7 +79,8 @@ pub fn set_alloc_probe(probe: fn() -> u64) {
 
 /// Is an alloc probe installed? (Alloc deltas are all-zero without
 /// one.)
-pub fn has_alloc_probe() -> bool {
+#[cfg(test)]
+pub(crate) fn has_alloc_probe() -> bool {
     ALLOC_PROBE.get().is_some()
 }
 
@@ -89,19 +88,11 @@ pub(crate) fn alloc_count() -> u64 {
     ALLOC_PROBE.get().map_or(0, |probe| probe())
 }
 
-/// Read the probe's current allocation count (0 without a probe).
-/// The count is process-wide and monotonic; deltas taken around a
-/// single-threaded section attribute exactly, deltas around concurrent
-/// sections include every thread's allocations.
-pub fn probe_count() -> u64 {
-    alloc_count()
-}
-
-/// Make `tree` visible to [`capture`]. Threads' implicit default
-/// trees self-register; explicitly created trees (worker-pool slots)
-/// must be registered once by their owner. Registering the same tree
-/// twice is a no-op.
-pub fn register_tree(tree: &Arc<SpanTree>) {
+/// Make `tree` visible to [`capture`]. Each thread's tree registers
+/// itself on the thread's first span; tests that hand a thread an
+/// explicit tree register it here. Registering the same tree twice is
+/// a no-op.
+pub(crate) fn register_tree(tree: &Arc<SpanTree>) {
     let mut trees = TREES.lock().unwrap_or_else(|e| e.into_inner());
     if !trees.iter().any(|t| Arc::ptr_eq(t, tree)) {
         trees.push(tree.clone());
@@ -215,7 +206,7 @@ impl Profile {
 }
 
 /// Aggregate every registered tree into a [`Profile`]. Nodes with the
-/// same call path (across threads/worker slots) are merged. Cold path:
+/// same call path (across threads) are merged. Cold path:
 /// allocates freely.
 pub fn capture() -> Profile {
     let mut merged: BTreeMap<String, ProfileEntry> = BTreeMap::new();
@@ -285,6 +276,7 @@ fn merge_node(merged: &mut BTreeMap<String, ProfileEntry>, path: &str, node: &Sp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::with_tree;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     // The profiler is process-global state; tests that flip the gate

@@ -1,6 +1,6 @@
 //! Hierarchical span trees: the data structure behind the profiler.
 //!
-//! A [`SpanTree`] is a call-tree of instrumentation sites. Each node is
+//! A `SpanTree` is a call-tree of instrumentation sites. Each node is
 //! one `(parent, stage, name)` site carrying monotonic self/total wall
 //! time, alloc-delta attribution, and a log₂-bucketed latency
 //! histogram over the span's total duration. Entering a span pushes a
@@ -81,9 +81,9 @@ struct TreeData {
     dropped: u64,
 }
 
-/// A read-only snapshot of one [`SpanTree`] node.
+/// A read-only snapshot of one `SpanTree` node.
 #[derive(Clone, Debug)]
-pub struct SpanNodeStats {
+pub(crate) struct SpanNodeStats {
     /// Index of the parent node within the same snapshot (`None` for
     /// root spans).
     pub parent: Option<u32>,
@@ -111,24 +111,18 @@ pub struct SpanNodeStats {
     pub buckets: [u64; SPAN_LATENCY_BUCKETS],
 }
 
-/// One thread's (or worker slot's) span call-tree.
+/// One thread's span call-tree.
 ///
 /// Cheap to share (`Arc`), internally mutexed; the lock is held for a
-/// handful of integer updates per span exit. Register with
-/// [`prof::register_tree`] so [`prof::capture`] can see it.
-pub struct SpanTree {
+/// handful of integer updates per span exit. Registered with
+/// `prof::register_tree` so [`prof::capture`] can see it.
+pub(crate) struct SpanTree {
     inner: Mutex<TreeData>,
-}
-
-impl Default for SpanTree {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SpanTree {
     /// A fresh, empty tree.
-    pub fn new() -> SpanTree {
+    pub(crate) fn new() -> SpanTree {
         SpanTree {
             inner: Mutex::new(TreeData {
                 nodes: Vec::with_capacity(32),
@@ -220,7 +214,7 @@ impl SpanTree {
 
     /// Snapshot every node (parent indices refer into the returned
     /// vector, which preserves insertion order).
-    pub fn nodes(&self) -> Vec<SpanNodeStats> {
+    pub(crate) fn nodes(&self) -> Vec<SpanNodeStats> {
         self.lock()
             .nodes
             .iter()
@@ -241,18 +235,19 @@ impl SpanTree {
     }
 
     /// Spans not recorded because of depth or node-table limits.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.lock().dropped
     }
 
     /// True when no span has ever been recorded into this tree.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         let data = self.lock();
         data.nodes.iter().all(|n| n.count == 0) && data.dropped == 0
     }
 
     /// Clear all recorded data, keeping the allocation.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let mut data = self.lock();
         data.nodes.clear();
         data.first_root = NO_NODE;
@@ -322,10 +317,9 @@ fn current_tree() -> Arc<SpanTree> {
 }
 
 /// Run `f` with `tree` as this thread's span destination (restored on
-/// exit, including on panic). Worker pools keep one pre-registered
-/// tree per slot and reuse it across scoped-thread regions, so
-/// short-lived threads never grow the global tree list.
-pub fn with_tree<R>(tree: &Arc<SpanTree>, f: impl FnOnce() -> R) -> R {
+/// exit, including on panic), so a test records into a tree of its own.
+#[cfg(test)]
+pub(crate) fn with_tree<R>(tree: &Arc<SpanTree>, f: impl FnOnce() -> R) -> R {
     let prev = TREE.with(|t| t.borrow_mut().replace(tree.clone()));
     struct Restore(Option<Arc<SpanTree>>);
     impl Drop for Restore {

@@ -4,9 +4,12 @@
 //! must stay within 5% of the profiler-off allocation count. The span
 //! layer keeps this true by construction — spans record into
 //! preallocated tree nodes and only a site's *first* visit inserts —
-//! and this test is the regression gate on that contract.
+//! and this test is the regression gate on that contract. It is also
+//! the profiled == plain identity gate: the profiled month must equal
+//! the plain one (raw and cleaned logs, removed duplicates, reset
+//! bursts).
 
-use quicksand_core::scenario::{Scenario, ScenarioConfig};
+use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
 use quicksand_obs as obs;
 use std::sync::Arc;
 
@@ -52,14 +55,14 @@ fn probe() -> u64 {
     counting::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Allocations across one serial month replay, measured on a scoped
-/// registry so metric bookkeeping is identical run to run.
-fn replay_allocs(scenario: &Scenario) -> u64 {
+/// One serial month replay and the allocations it made, measured on a
+/// scoped registry so metric bookkeeping is identical run to run.
+fn replay_allocs(scenario: &Scenario) -> (MonthResult, u64) {
     let registry = Arc::new(obs::Registry::new());
     obs::with_metrics(registry, || {
         let before = probe();
-        scenario.run_month().expect("valid scenario");
-        probe() - before
+        let month = scenario.run_month().expect("valid scenario");
+        (month, probe() - before)
     })
 }
 
@@ -70,17 +73,23 @@ fn profiled_serial_replay_stays_within_five_pct_of_alloc_budget() {
 
     // Warm every lazy cache (name interning, scratch growth) so the
     // baseline and profiled runs see identical steady state.
-    let _warmup = replay_allocs(&scenario);
-    let baseline = replay_allocs(&scenario);
+    replay_allocs(&scenario);
+    let (plain_month, baseline) = replay_allocs(&scenario);
     assert!(baseline > 0, "the replay allocates something");
 
     obs::prof::reset();
     obs::prof::set_sample_every(1);
     obs::prof::set_enabled(true);
-    let profiled = replay_allocs(&scenario);
+    let (profiled_month, profiled) = replay_allocs(&scenario);
     obs::prof::set_enabled(false);
     let profile = obs::prof::capture();
     obs::prof::reset();
+
+    // Profiling observes the replay without changing it.
+    assert!(plain_month.raw == profiled_month.raw, "profiled raw log differs");
+    assert!(plain_month.cleaned == profiled_month.cleaned, "profiled cleaned log differs");
+    assert_eq!(plain_month.removed_duplicates, profiled_month.removed_duplicates);
+    assert_eq!(plain_month.reset_bursts, profiled_month.reset_bursts);
 
     // The profiler genuinely recorded the hot path, with the counting
     // allocator attributed through the probe.

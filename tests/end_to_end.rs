@@ -210,7 +210,7 @@ fn pipeline_is_deterministic() {
 /// The small tier's raw update log is pinned byte for byte: a change to
 /// the replay's record order (or content) fails here under plain
 /// `cargo test`, not only in the benchmark. Same value as the
-/// benchmark's small-tier pin and `BENCH_monthreplay.json`.
+/// benchmark's small-tier pin.
 #[test]
 fn small_tier_raw_log_fnv_is_pinned() {
     let month = Scenario::build(ScenarioConfig::small(0xA11))
