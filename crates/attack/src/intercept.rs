@@ -109,8 +109,8 @@ pub fn plan_interception(
             best = Some(candidate);
         }
     }
-    // The inner origin_hijack_scoped calls record the wall time under
-    // the "detect" stage; here only the plan outcome is counted.
+    // The inner origin_hijack_scoped calls open "detect" spans; here
+    // only the plan outcome is counted.
     obs::incr("detect", "intercept_plans", 1);
     if best.is_some() {
         obs::incr("detect", "intercepts_found", 1);

@@ -314,44 +314,43 @@ impl StreamingMonitor {
     /// stale session at `now`, `Ok(())` when every expected session is
     /// live.
     pub fn check_feed(&self, now: SimTime) -> QsResult<()> {
-        obs::timed("monitor", || {
-            obs::incr("monitor", "feed_checks", 1);
-            let worst = self
-                .expected_sessions
-                .iter()
-                .map(|s| {
-                    let silent = self.last_seen.get(s).map_or_else(
-                        || now.since(self.started_at.unwrap_or(now)),
-                        |&t| now.since(t),
+        let _span = obs::prof::span("monitor", "check_feed");
+        obs::incr("monitor", "feed_checks", 1);
+        let worst = self
+            .expected_sessions
+            .iter()
+            .map(|s| {
+                let silent = self.last_seen.get(s).map_or_else(
+                    || now.since(self.started_at.unwrap_or(now)),
+                    |&t| now.since(t),
+                );
+                (silent, *s)
+            })
+            .filter(|&(silent, _)| silent > self.config.stale_after)
+            .max();
+        match worst {
+            Some((silent_for, session)) => {
+                obs::incr("monitor", "stale_feed_checks", 1);
+                if obs::enabled(obs::Level::Warn) {
+                    obs::emit(
+                        obs::Event::new(
+                            obs::Level::Warn,
+                            "monitor",
+                            "stale-feed",
+                            "expected session silent past staleness bound",
+                        )
+                        .with("session", session.0)
+                        .with("silent_s", silent_for.as_secs_f64())
+                        .with("at_s", now.as_secs_f64()),
                     );
-                    (silent, *s)
-                })
-                .filter(|&(silent, _)| silent > self.config.stale_after)
-                .max();
-            match worst {
-                Some((silent_for, session)) => {
-                    obs::incr("monitor", "stale_feed_checks", 1);
-                    if obs::enabled(obs::Level::Warn) {
-                        obs::emit(
-                            obs::Event::new(
-                                obs::Level::Warn,
-                                "monitor",
-                                "stale-feed",
-                                "expected session silent past staleness bound",
-                            )
-                            .with("session", session.0)
-                            .with("silent_s", silent_for.as_secs_f64())
-                            .with("at_s", now.as_secs_f64()),
-                        );
-                    }
-                    Err(QuicksandError::StaleFeed {
-                        session: session.0,
-                        silent_for,
-                    })
                 }
-                None => Ok(()),
+                Err(QuicksandError::StaleFeed {
+                    session: session.0,
+                    silent_for,
+                })
             }
-        })
+            None => Ok(()),
+        }
     }
 
     /// Records seen with timestamps behind the stream's high-water mark

@@ -7,7 +7,7 @@
 //!        stealth|longterm|countermeasures|chaos]
 //!        [--small|--medium|--large|--scale=SPEC]
 //!        [--intensity=<0..1>] [--obs-out=run.json] [--obs-jsonl=run.jsonl]
-//!        [--profile-out=PATH] [--profile-sample=N] [--log-level=SPEC]
+//!        [--profile-out=PATH] [--log-level=SPEC]
 //!        [--checkpoint-every=N] [--checkpoint-dir=DIR] [--resume-from=PATH]
 //!        [--halt-after=K] [-v|--verbose] [-q|--quiet]
 //! repro report [--check] <run.json> [other.json]
@@ -36,23 +36,24 @@
 //! ~20k-AS / ~100k-prefix Internet-scale tier. Without a scale flag the
 //! batch mode runs the full EXPERIMENTS.md configuration and
 //! `serve`/`feed` default to medium (their historical behavior).
-//! A batch word that names no artifact, or a flag the batch mode does
-//! not take, exits 2 before any scenario is built.
+//! Every mode checks its command line first: a flag the mode does not
+//! take, or a word it has no use for (in the batch mode, one that
+//! names no artifact), exits 2 before any work starts.
 //!
 //! Observability: progress notes are `quicksand-obs` events rendered to
-//! stderr (`-v` adds span timings, `--quiet` silences both events and
-//! the stdout tables). `--obs-out=PATH` writes the machine-readable
-//! [`RunReport`] at exit; `--obs-jsonl=PATH` streams every event and
-//! span as one JSON object per line. `--log-level=SPEC` (or the
-//! `QUICKSAND_LOG` env var — the flag wins) sets the console threshold
-//! with optional per-stage overrides (`warn,routing=debug,churn=error`),
-//! overriding `-v`/the default. `--profile-out=PATH` turns the span
-//! profiler on for the run and writes the aggregated profile as
-//! collapsed-stack text (flamegraph input; weight = self-time µs);
-//! `--profile-sample=N` records every N-th top-level span activation.
-//! With `--profile-out`, `--obs-out` reports also carry a `profile`
-//! section and per-span `_span_us` latency histograms — both excluded
-//! from `report --check` determinism. `repro report a.json` pretty-prints
+//! stderr (`-v` lowers the threshold to debug, `--quiet` silences both
+//! events and the stdout tables). `--obs-out=PATH` turns the span
+//! profiler on and writes the machine-readable [`RunReport`] at exit:
+//! its stage table is the run's root spans grouped by stage, and it
+//! carries the whole span profile (a `profile` section and per-span
+//! `_span_us` latency histograms, both excluded from `report --check`
+//! determinism). `--obs-jsonl=PATH` streams every event as one JSON
+//! object per line. `--log-level=SPEC` (or the `QUICKSAND_LOG` env var
+//! — the flag wins) sets the console threshold with optional per-stage
+//! overrides (`warn,routing=debug,churn=error`), overriding `-v`/the
+//! default. `--profile-out=PATH` also turns the profiler on and writes
+//! the aggregated profile as collapsed-stack text (flamegraph input;
+//! weight = self-time µs). `repro report a.json` pretty-prints
 //! a report and exits non-zero when a required pipeline stage is missing
 //! (the CI schema gate); `repro report a.json b.json` diffs two runs;
 //! `repro report --check a.json b.json` exits 1 unless the two runs are
@@ -154,7 +155,7 @@ use quicksand_traffic::{CircuitFlowConfig, TcpConfig};
 use std::sync::Arc;
 
 /// Counting wrapper over the system allocator, installed only in this
-/// binary so `--profile-out` profiles attribute allocations per span
+/// binary so span profiles attribute allocations per span
 /// (see [`alloc_probe`]).
 mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -202,8 +203,8 @@ fn alloc_probe() -> u64 {
 /// `QUICKSAND_LOG` env var, then the `-v`-derived uniform default. A
 /// bad flag spec is a usage error; a bad env spec warns and falls
 /// through (an exported shell variable must not brick the binary).
-fn log_filter(args: &[String], verbose: bool) -> obs::LevelFilter {
-    if let Some(spec) = args.iter().find_map(|a| a.strip_prefix("--log-level=")) {
+fn log_filter(args: &Args, verbose: bool) -> obs::LevelFilter {
+    if let Some(spec) = args.value("--log-level=") {
         match obs::LevelFilter::parse(spec) {
             Ok(f) => return f,
             Err(e) => {
@@ -229,50 +230,130 @@ const EXPERIMENTS: &[&str] = &[
     "longterm", "countermeasures", "chaos",
 ];
 
-/// The batch mode's flags; a trailing `=` marks one that takes a value.
+/// Each mode's flags; a trailing `=` marks one that takes a value.
 const BATCH_FLAGS: &[&str] = &[
     "--small", "--medium", "--large", "--scale=", "--intensity=", "--obs-out=",
-    "--obs-jsonl=", "--profile-out=", "--profile-sample=", "--log-level=",
-    "--checkpoint-every=", "--checkpoint-dir=", "--resume-from=", "--halt-after=", "-v",
-    "--verbose", "-q", "--quiet",
+    "--obs-jsonl=", "--profile-out=", "--log-level=", "--checkpoint-every=",
+    "--checkpoint-dir=", "--resume-from=", "--halt-after=", "-v", "--verbose", "-q", "--quiet",
+];
+const REPORT_FLAGS: &[&str] = &["--check"];
+const SERVE_FLAGS: &[&str] = &[
+    "--small", "--medium", "--large", "--scale=", "--cells=", "--width=", "--seed=",
+    "--checkpoint-every=", "--checkpoint-dir=", "--max-restarts=", "--storm=", "--storm-seed=",
+    "--stall-ms=", "--deadline-ms=", "--queue-cap=", "--obs-out=", "--telemetry-addr=",
+    "--telemetry-addr-file=", "--telemetry-linger-ms=", "--feed-addr=", "--feed-addr-file=",
+    "--feed-hold-ms=", "--feed-restart-ms=", "--log-level=", "-v", "--verbose", "-q", "--quiet",
+];
+const FEED_FLAGS: &[&str] = &[
+    "--connect=", "--peer=", "--seed=", "--small", "--medium", "--large", "--scale=", "--mrt=",
+    "--kill-after=", "--hold-ms=", "--max-attempts=", "--backoff-base-ms=", "--backoff-cap-ms=",
+    "--backoff-seed=", "--log-level=", "-v", "--verbose", "-q", "--quiet",
 ];
 
-/// Reject a batch command line with a word that names no artifact or a
-/// flag the batch mode does not take, before any scenario is built: a
-/// typo such as `--smal` must not silently run the full-scale default.
-fn check_batch_args(args: &[String]) -> Result<(), String> {
-    for arg in args {
-        if arg.starts_with('-') {
-            let known = BATCH_FLAGS.iter().any(|flag| {
-                if flag.ends_with('=') {
-                    arg.starts_with(flag)
-                } else {
-                    arg == flag
-                }
-            });
-            if !known {
-                return Err(format!("unknown flag {arg:?}"));
-            }
-        } else if !EXPERIMENTS.contains(&arg.as_str()) {
-            return Err(format!(
-                "unknown subcommand or artifact {arg:?} (expected report, serve, feed, or one of: {})",
-                EXPERIMENTS.join(" ")
-            ));
-        }
-    }
-    Ok(())
+/// What a bare (non-flag) word may be in a mode.
+enum Words {
+    /// An artifact name from [`EXPERIMENTS`] (the batch mode).
+    Artifacts,
+    /// A file path (`report`).
+    Paths,
+    /// Nothing (`serve`, `feed`).
+    None,
 }
 
-/// The value of `--flag=N` (`flag` includes the `=`); a value that is
-/// not a non-negative integer is a usage error.
-fn u64_flag(args: &[String], flag: &str) -> Option<u64> {
-    let s = args.iter().find_map(|a| a.strip_prefix(flag))?;
-    match s.parse::<u64>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
-            std::process::exit(exitcode::USAGE);
+/// One mode's command line, checked against the mode's flag list.
+/// Commands read their flags only through it, and reading a flag the
+/// list does not declare panics, so the list is the one place a mode's
+/// flags are named.
+struct Args<'a> {
+    args: &'a [String],
+    flags: &'static [&'static str],
+}
+
+impl<'a> Args<'a> {
+    /// Reject a command line with a flag its mode does not take, or a
+    /// word the mode has no use for, before any work starts: a typo
+    /// such as `--smal` or `report --chek` must not silently run
+    /// something else.
+    fn parse(
+        args: &'a [String],
+        flags: &'static [&'static str],
+        words: Words,
+    ) -> Result<Args<'a>, String> {
+        for arg in args {
+            if arg.starts_with('-') {
+                let known = flags.iter().any(|flag| {
+                    if flag.ends_with('=') {
+                        arg.starts_with(flag)
+                    } else {
+                        arg == flag
+                    }
+                });
+                if !known {
+                    return Err(format!("unknown flag {arg:?}"));
+                }
+            } else {
+                match words {
+                    Words::Artifacts if !EXPERIMENTS.contains(&arg.as_str()) => {
+                        return Err(format!(
+                            "unknown subcommand or artifact {arg:?} (expected report, serve, feed, or one of: {})",
+                            EXPERIMENTS.join(" ")
+                        ))
+                    }
+                    Words::None => return Err(format!("unknown argument {arg:?}")),
+                    _ => {}
+                }
+            }
         }
+        Ok(Args { args, flags })
+    }
+
+    fn declared(&self, flag: &str) {
+        assert!(
+            self.flags.contains(&flag),
+            "{flag} is read but missing from the mode's flag list"
+        );
+    }
+
+    /// Is the bare flag `flag` given?
+    fn has(&self, flag: &str) -> bool {
+        self.declared(flag);
+        self.args.iter().any(|a| a == flag)
+    }
+
+    /// The value of `--flag=VALUE` (`flag` includes the `=`).
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.declared(flag);
+        self.args.iter().find_map(|a| a.strip_prefix(flag))
+    }
+
+    /// The value of `--flag=N`; a value that is not a non-negative
+    /// integer is a usage error.
+    fn u64(&self, flag: &str) -> Option<u64> {
+        let s = self.value(flag)?;
+        match s.parse::<u64>() {
+            Ok(n) => Some(n),
+            Err(_) => {
+                eprintln!("error: {flag} expects a non-negative integer, got {s:?}");
+                std::process::exit(exitcode::USAGE);
+            }
+        }
+    }
+
+    /// The bare words (artifact names or report paths), in order.
+    fn words(&self) -> Vec<&'a str> {
+        self.args
+            .iter()
+            .filter(|a| !a.starts_with('-'))
+            .map(String::as_str)
+            .collect()
+    }
+
+    fn quiet(&self) -> bool {
+        self.has("--quiet") || self.has("-q")
+    }
+
+    fn verbose(&self) -> bool {
+        self.has("--verbose") || self.has("-v")
     }
 }
 
@@ -281,8 +362,8 @@ fn u64_flag(args: &[String], flag: &str) -> Option<u64> {
 /// tier — see [`Scale::parse`]) wins, then the `--small`/`--medium`/
 /// `--large` shorthands. `None` means no scale flag was given, and
 /// each subcommand keeps its historical default.
-fn scale_arg(args: &[String]) -> Option<Scale> {
-    if let Some(spec) = args.iter().find_map(|a| a.strip_prefix("--scale=")) {
+fn scale_arg(args: &Args) -> Option<Scale> {
+    if let Some(spec) = args.value("--scale=") {
         match Scale::parse(spec) {
             Ok(s) => return Some(s),
             Err(e) => {
@@ -291,11 +372,11 @@ fn scale_arg(args: &[String]) -> Option<Scale> {
             }
         }
     }
-    if args.iter().any(|a| a == "--small") {
+    if args.has("--small") {
         Some(Scale::Small)
-    } else if args.iter().any(|a| a == "--medium") {
+    } else if args.has("--medium") {
         Some(Scale::Medium)
-    } else if args.iter().any(|a| a == "--large") {
+    } else if args.has("--large") {
         Some(Scale::Large)
     } else {
         None
@@ -483,13 +564,9 @@ fn load_report(path: &str) -> Result<RunReport, String> {
 /// unless [`RunReport::deterministic_deltas`] between the two runs is
 /// empty. `--check` is how CI asserts an interrupted-then-resumed run
 /// is indistinguishable from an uninterrupted one.
-fn report_command(args: &[String]) -> i32 {
-    let check = args.iter().any(|a| a == "--check");
-    let files: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with('-'))
-        .map(|s| s.as_str())
-        .collect();
+fn report_command(args: &Args) -> i32 {
+    let check = args.has("--check");
+    let files = args.words();
     if check {
         let [a, b] = files.as_slice() else {
             eprintln!("usage: repro report --check <run.json> <other.json>");
@@ -580,12 +657,12 @@ fn report_command(args: &[String]) -> i32 {
 /// deadline, so the storm's stalls genuinely trip it. Writes the fleet
 /// [`RunReport`] (with its `supervisor` section) to `--obs-out`.
 /// Exits [`exitcode::QUARANTINE`] when any cell was quarantined.
-fn serve_command(args: &[String]) -> i32 {
+fn serve_command(args: &Args) -> i32 {
     let scale = scale_arg(args);
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    let obs_out = args.iter().find_map(|a| a.strip_prefix("--obs-out="));
-    let parse = |flag: &str, default: u64| u64_flag(args, flag).unwrap_or(default);
+    let quiet = args.quiet();
+    let verbose = args.verbose();
+    let obs_out = args.value("--obs-out=");
+    let parse = |flag: &str, default: u64| args.u64(flag).unwrap_or(default);
     let cells = parse("--cells=", 8) as usize;
     let width = parse("--width=", 4).max(1) as usize;
     let every = parse("--checkpoint-every=", 25);
@@ -596,16 +673,9 @@ fn serve_command(args: &[String]) -> i32 {
     let stall_ms = parse("--stall-ms=", 3_000);
     let deadline_ms = parse("--deadline-ms=", 1_000);
     let base_seed = parse("--seed=", 0xA11);
-    let dir = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--checkpoint-dir="))
-        .map(str::to_owned);
-    let telemetry_addr = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--telemetry-addr="));
-    let telemetry_addr_file = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--telemetry-addr-file="));
+    let dir = args.value("--checkpoint-dir=").map(str::to_owned);
+    let telemetry_addr = args.value("--telemetry-addr=");
+    let telemetry_addr_file = args.value("--telemetry-addr-file=");
     let linger_ms = parse("--telemetry-linger-ms=", 0);
     if telemetry_addr.is_none() && (telemetry_addr_file.is_some() || linger_ms > 0) {
         eprintln!(
@@ -613,10 +683,8 @@ fn serve_command(args: &[String]) -> i32 {
         );
         return exitcode::USAGE;
     }
-    let feed_addr = args.iter().find_map(|a| a.strip_prefix("--feed-addr="));
-    let feed_addr_file = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--feed-addr-file="));
+    let feed_addr = args.value("--feed-addr=");
+    let feed_addr_file = args.value("--feed-addr-file=");
     let feed_cfg = FeedConfig {
         hold_ms: parse("--feed-hold-ms=", FeedConfig::default().hold_ms).max(1),
         restart_ms: parse("--feed-restart-ms=", FeedConfig::default().restart_ms).max(1),
@@ -651,6 +719,7 @@ fn serve_command(args: &[String]) -> i32 {
     }
     if obs_out.is_some() {
         sinks.push(memory.clone());
+        obs::prof::set_enabled(true);
     }
     if !sinks.is_empty() {
         obs::set_global_subscriber(Arc::new(obs::FanoutSubscriber::new(sinks)));
@@ -820,21 +889,10 @@ fn serve_command(args: &[String]) -> i32 {
 
     obs::flush();
     if let Some(path) = obs_out {
-        let snapshot = obs::global_metrics().snapshot();
-        let run_report = RunReport::assemble(
-            format!("repro serve --cells={cells} --storm={storm}"),
-            &snapshot,
-            &memory.events(),
-        );
-        let json = match serde_json::to_string_pretty(&run_report) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: cannot serialize run report: {e}");
-                return exitcode::CHECK_FAILED;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: cannot write {path}: {e}");
+        obs::prof::set_enabled(false);
+        let label = format!("repro serve --cells={cells} --storm={storm}");
+        if let Err(e) = write_report(path, label, &memory.events(), &obs::prof::capture()) {
+            eprintln!("error: {e}");
             return exitcode::CHECK_FAILED;
         }
         progress(format!("wrote fleet report to {path}"));
@@ -858,16 +916,16 @@ fn serve_command(args: &[String]) -> i32 {
 /// when no session can be established, the reconnect budget runs out,
 /// or the server violates the protocol; local problems (bad flags,
 /// unreadable `--mrt` file) are [`exitcode::USAGE`].
-fn feed_command(args: &[String]) -> i32 {
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
+fn feed_command(args: &Args) -> i32 {
+    let quiet = args.quiet();
+    let verbose = args.verbose();
     if !quiet {
         obs::set_global_subscriber(Arc::new(obs::ConsoleSubscriber::with_filter(
             log_filter(args, verbose),
         )));
     }
-    let parse = |flag: &str, default: u64| u64_flag(args, flag).unwrap_or(default);
-    let Some(connect) = args.iter().find_map(|a| a.strip_prefix("--connect=")) else {
+    let parse = |flag: &str, default: u64| args.u64(flag).unwrap_or(default);
+    let Some(connect) = args.value("--connect=") else {
         eprintln!("error: feed requires --connect=HOST:PORT");
         return exitcode::USAGE;
     };
@@ -886,12 +944,9 @@ fn feed_command(args: &[String]) -> i32 {
     };
     let scale = scale_arg(args);
     let seed = parse("--seed=", 0xA11);
-    let peer = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--peer="))
-        .unwrap_or("cell-0");
-    let mrt = args.iter().find_map(|a| a.strip_prefix("--mrt="));
-    let kill_after = u64_flag(args, "--kill-after=");
+    let peer = args.value("--peer=").unwrap_or("cell-0");
+    let mrt = args.value("--mrt=");
+    let kill_after = args.u64("--kill-after=");
 
     // The stream: a churn schedule (identity-stamped with the scenario
     // fingerprint the serving cell expects) or an MRT log (fingerprint
@@ -969,41 +1024,56 @@ fn feed_command(args: &[String]) -> i32 {
 
 fn main() {
     // Donate the counting allocator to the span profiler before any
-    // subcommand runs, so `--profile-out` profiles attribute
-    // allocations per span.
+    // subcommand runs, so profiles attribute allocations per span.
     obs::prof::set_alloc_probe(alloc_probe);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "report") {
-        std::process::exit(report_command(&args[1..]));
+    type Command = fn(&Args) -> i32;
+    let (rest, flags, words, command): (&[String], &[&str], Words, Command) =
+        match args.first().map(String::as_str) {
+            Some("report") => (&args[1..], REPORT_FLAGS, Words::Paths, report_command),
+            Some("serve") => (&args[1..], SERVE_FLAGS, Words::None, serve_command),
+            Some("feed") => (&args[1..], FEED_FLAGS, Words::None, feed_command),
+            _ => (&args[..], BATCH_FLAGS, Words::Artifacts, batch_command),
+        };
+    match Args::parse(rest, flags, words) {
+        Ok(args) => std::process::exit(command(&args)),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(exitcode::USAGE);
+        }
     }
-    if args.first().is_some_and(|a| a == "serve") {
-        std::process::exit(serve_command(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "feed") {
-        std::process::exit(feed_command(&args[1..]));
-    }
+}
 
-    if let Err(e) = check_batch_args(&args) {
-        eprintln!("error: {e}");
-        std::process::exit(exitcode::USAGE);
-    }
-    let scale = scale_arg(&args);
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    let obs_out = args.iter().find_map(|a| a.strip_prefix("--obs-out="));
-    let obs_jsonl = args.iter().find_map(|a| a.strip_prefix("--obs-jsonl="));
-    let parse_u64 = |flag: &str| u64_flag(&args, flag);
+/// Write the run report to `path`: the global registry (with the span
+/// latency histograms folded in), the buffered `events`, and the stage
+/// table built from `profile`'s root spans.
+fn write_report(
+    path: &str,
+    label: String,
+    events: &[Event],
+    profile: &obs::Profile,
+) -> Result<RunReport, String> {
+    profile.publish(&obs::global_metrics());
+    let report = RunReport::assemble(label, &obs::global_metrics().snapshot(), events, profile);
+    let json = serde_json::to_string_pretty(&report)
+        .map_err(|e| format!("cannot serialize run report: {e}"))?;
+    std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(report)
+}
+
+/// The batch mode: build the scenario and print the requested
+/// artifacts (every one but `chaos` when none is named).
+fn batch_command(args: &Args) -> i32 {
+    let scale = scale_arg(args);
+    let quiet = args.quiet();
+    let verbose = args.verbose();
+    let obs_out = args.value("--obs-out=");
+    let obs_jsonl = args.value("--obs-jsonl=");
     let recover = RecoverOpts {
-        every: parse_u64("--checkpoint-every=").unwrap_or(0),
-        dir: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--checkpoint-dir="))
-            .map(str::to_owned),
-        resume_from: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--resume-from="))
-            .map(str::to_owned),
-        halt_after: parse_u64("--halt-after="),
+        every: args.u64("--checkpoint-every=").unwrap_or(0),
+        dir: args.value("--checkpoint-dir=").map(str::to_owned),
+        resume_from: args.value("--resume-from=").map(str::to_owned),
+        halt_after: args.u64("--halt-after="),
     };
     if recover.every > 0 && recover.dir.is_none() {
         eprintln!("error: --checkpoint-every requires --checkpoint-dir");
@@ -1013,24 +1083,12 @@ fn main() {
         eprintln!("error: --halt-after requires --checkpoint-every and --checkpoint-dir");
         std::process::exit(exitcode::USAGE);
     }
-    let profile_out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--profile-out="));
-    if let Some(every) = parse_u64("--profile-sample=") {
-        if profile_out.is_none() {
-            eprintln!("error: --profile-sample requires --profile-out");
-            std::process::exit(exitcode::USAGE);
-        }
-        obs::prof::set_sample_every(every);
-    }
-    if profile_out.is_some() {
+    let profile_out = args.value("--profile-out=");
+    // Spans are the report's clock: a run report needs the profiler on.
+    if obs_out.is_some() || profile_out.is_some() {
         obs::prof::set_enabled(true);
     }
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with('-'))
-        .map(|s| s.as_str())
-        .collect();
+    let which = args.words();
     let which = if which.is_empty() { vec!["all"] } else { which };
     let all = which.contains(&"all");
     let want = |name: &str| all || which.contains(&name);
@@ -1042,7 +1100,7 @@ fn main() {
     let mut sinks: Vec<Arc<dyn Subscriber>> = Vec::new();
     if !quiet {
         sinks.push(Arc::new(obs::ConsoleSubscriber::with_filter(log_filter(
-            &args, verbose,
+            args, verbose,
         ))));
     }
     if obs_out.is_some() {
@@ -1196,10 +1254,7 @@ fn main() {
     }
     if which.contains(&"chaos") {
         ctx.ensure_month();
-        let intensities: Vec<f64> = match args
-            .iter()
-            .find_map(|a| a.strip_prefix("--intensity="))
-        {
+        let intensities: Vec<f64> = match args.value("--intensity=") {
             Some(s) => match s.parse::<f64>() {
                 Ok(x) => vec![x],
                 Err(_) => {
@@ -1362,24 +1417,20 @@ fn main() {
     }
 
     obs::flush();
-    // Profile epilogue: freeze the profiler, write the collapsed-stack
-    // text (flamegraph input), and fold the per-span latency histograms
-    // into the global registry so the run report renders them.
-    let profile = profile_out.map(|path| {
-        obs::prof::set_enabled(false);
-        let profile = obs::prof::capture();
+    obs::prof::set_enabled(false);
+    let profile = obs::prof::capture();
+    if let Some(path) = profile_out {
+        // Collapsed-stack text: flamegraph input.
         if let Err(e) = std::fs::write(path, profile.collapsed()) {
             eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(exitcode::CHECK_FAILED);
+            return exitcode::CHECK_FAILED;
         }
-        profile.publish(&obs::global_metrics());
         progress(format!(
             "wrote collapsed-stack profile to {path} ({} call paths, {} dropped)",
             profile.entries.len(),
             profile.dropped
         ));
-        profile
-    });
+    }
     if let Some(path) = obs_out {
         let label = format!(
             "repro {}{}",
@@ -1389,22 +1440,13 @@ fn main() {
                 .map(|sc| format!(" --scale={sc}"))
                 .unwrap_or_default()
         );
-        let snapshot = obs::global_metrics().snapshot();
-        let mut run_report = RunReport::assemble(label, &snapshot, &memory.events());
-        if let Some(profile) = &profile {
-            run_report = run_report.with_profile(profile);
-        }
-        let json = match serde_json::to_string_pretty(&run_report) {
-            Ok(j) => j,
+        let run_report = match write_report(path, label, &memory.events(), &profile) {
+            Ok(r) => r,
             Err(e) => {
-                eprintln!("error: cannot serialize run report: {e}");
-                std::process::exit(exitcode::CHECK_FAILED);
+                eprintln!("error: {e}");
+                return exitcode::CHECK_FAILED;
             }
         };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(exitcode::CHECK_FAILED);
-        }
         if let Err(problems) = run_report.validate() {
             for p in &problems {
                 obs::emit(Event::new(
@@ -1418,4 +1460,5 @@ fn main() {
         progress(format!("wrote run report to {path}"));
         obs::flush();
     }
+    exitcode::OK
 }

@@ -514,13 +514,14 @@ pub fn evaluate_realtime_monitoring(
             .map(|(p, a)| (*p, *a)),
         MonitorConfig::default(),
     );
-    obs::timed("monitor", || {
+    {
+        let _span = obs::prof::span("monitor", "ingest");
         for r in &stream {
             monitor.ingest(r);
         }
-    });
-    // Liveness probe at end-of-stream; check_feed times itself, so it
-    // stays outside the ingest span to keep monitor wall time additive.
+    }
+    // Liveness probe at end-of-stream; check_feed opens its own span,
+    // so it stays outside the ingest span to stay a root span.
     if let Some(last) = stream.last() {
         let _ = monitor.check_feed(last.at);
     }

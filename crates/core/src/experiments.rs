@@ -5,6 +5,12 @@
 //! Each function computes one artifact's data from a [`Scenario`] (or a
 //! traffic/attack configuration) and returns a plain struct that
 //! `report` renders and the benches re-run at reduced scale.
+//!
+//! An artifact that calls no `detect` or `correlate` entry point runs
+//! as one `experiments.<artifact>` span. The others (fig2-right,
+//! hijack, intercept, stealth) are timed by those stages' own spans,
+//! which a wrapping span would turn from root spans into children and
+//! so hide from the run report's stage table.
 
 use crate::scenario::{MonthResult, Scenario};
 use crate::temporal;
@@ -14,6 +20,7 @@ use quicksand_attack::intercept::plan_interception;
 use quicksand_bgp::metrics::{churn_ratios, path_changes, Ccdf};
 use quicksand_bgp::{Route, SimConfig, UpdateMessage};
 use quicksand_net::{Asn, SimDuration, SimTime};
+use quicksand_obs as obs;
 use quicksand_tor::TorPrefixStats;
 use quicksand_traffic::correlate::{correlate, CorrelationConfig};
 use quicksand_traffic::{CircuitFlow, CircuitFlowConfig, Segment};
@@ -49,6 +56,7 @@ pub struct Table1 {
 
 /// Compute T1 from a built scenario and its month run.
 pub fn table1(scenario: &Scenario, month: &MonthResult) -> Table1 {
+    let _span = obs::prof::span("experiments", "table1");
     let c = &scenario.consensus;
     let tor = scenario.tor_prefix_set();
     let log = &month.cleaned;
@@ -116,6 +124,7 @@ pub struct Fig2Left {
 
 /// Compute F2L from the consensus.
 pub fn fig2_left(scenario: &Scenario) -> Fig2Left {
+    let _span = obs::prof::span("experiments", "fig2_left");
     let mut per_as: std::collections::BTreeMap<Asn, usize> = Default::default();
     for r in scenario.consensus.guards_or_exits() {
         *per_as.entry(r.host_as).or_default() += 1;
@@ -207,6 +216,7 @@ pub struct Fig3Left {
 
 /// Compute F3L from a month run.
 pub fn fig3_left(scenario: &Scenario, month: &MonthResult) -> Fig3Left {
+    let _span = obs::prof::span("experiments", "fig3_left");
     let changes = path_changes(&month.cleaned);
     let ratios = churn_ratios(&changes, &scenario.tor_prefix_set());
     let ccdf = Ccdf::new(ratios);
@@ -239,6 +249,7 @@ pub struct Fig3Right {
 /// [`quicksand_bgp::metrics::extra_ases_per_prefix`]; it reads ~one
 /// order of magnitude higher since 70 vantages see 70 different paths.)
 pub fn fig3_right(scenario: &Scenario, month: &MonthResult) -> Fig3Right {
+    let _span = obs::prof::span("experiments", "fig3_right");
     let tor = scenario.tor_prefix_set();
     let timelines = quicksand_bgp::metrics::PathTimeline::from_log(&month.cleaned);
     let counts: Vec<f64> = timelines
@@ -265,6 +276,7 @@ pub struct ModelSweep {
 
 /// Compute M1 (with Monte-Carlo validation per row).
 pub fn model_sweep(fs: &[f64], xs: &[usize], ls: &[usize], trials: u32) -> ModelSweep {
+    let _span = obs::prof::span("experiments", "model");
     let mut rows = Vec::new();
     for (i, &f) in fs.iter().enumerate() {
         for (j, &x) in xs.iter().enumerate() {
@@ -437,6 +449,7 @@ pub fn convergence_experiment(
     trials: usize,
     seed: u64,
 ) -> ConvergenceExperiment {
+    let _span = obs::prof::span("experiments", "convergence");
     let mut rng = StdRng::seed_from_u64(seed);
     let g = &scenario.topo.graph;
     let guard_ases: Vec<Asn> = scenario
@@ -603,6 +616,7 @@ pub fn static_vs_dynamic(
     f: f64,
     seed: u64,
 ) -> StaticVsDynamic {
+    let _span = obs::prof::span("experiments", "static_vs_dynamic");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut clients: Vec<Asn> = scenario.topo.stubs.clone();
     clients.shuffle(&mut rng);

@@ -414,10 +414,7 @@ pub struct MonthResult {
 impl Scenario {
     /// Assemble the world from a configuration.
     pub fn build(config: ScenarioConfig) -> Scenario {
-        obs::timed("topology", || Scenario::build_inner(config))
-    }
-
-    fn build_inner(config: ScenarioConfig) -> Scenario {
+        let _span = obs::prof::span("topology", "build");
         let topo = TopologyGenerator::new(config.topology.clone()).generate();
         let plan = AddressPlan::generate(&topo.graph, &topo.hosting, &config.plan);
         let asns: Vec<Asn> = topo.graph.asns().collect();
@@ -625,29 +622,31 @@ impl Scenario {
         every: u64,
         mut hook: impl FnMut(&PipelineSnapshot) -> HookAction,
     ) -> QsResult<MonthResult> {
-        let tracked = self.tracked_prefixes();
-        let prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = {
-            let mut m: BTreeMap<Asn, Vec<Ipv4Prefix>> = BTreeMap::new();
+        let (prefixes_by_origin, mut collector) = {
+            let _span = obs::prof::span("run", "prep");
+            let tracked = self.tracked_prefixes();
+            let mut prefixes_by_origin: BTreeMap<Asn, Vec<Ipv4Prefix>> = BTreeMap::new();
             for (p, o) in &tracked {
-                m.entry(*o).or_default().push(*p);
+                prefixes_by_origin.entry(*o).or_default().push(*p);
             }
-            m
+            // Every observation goes through `observe_dirty`, which
+            // appends records in the full scan's (ascending-prefix) order
+            // only if the origins' prefix runs, concatenated in
+            // ascending-origin order, are the ascending prefix list. The
+            // generated plans give AS i the /16 at graph index i and ASN
+            // i + 1, so they are.
+            assert!(
+                prefixes_by_origin.values().flatten().eq(tracked.keys()),
+                "tracked prefixes are not grouped by ascending origin; \
+                 the dirty-set observe would reorder the update log"
+            );
+            let collector = Collector::new(&self.session_peers, &self.config.collector)?;
+            (prefixes_by_origin, collector)
         };
-        // Every observation goes through `observe_dirty`, which appends
-        // records in the full scan's (ascending-prefix) order only if
-        // the origins' prefix runs, concatenated in ascending-origin
-        // order, are the ascending prefix list. The generated plans give
-        // AS i the /16 at graph index i and ASN i + 1, so they are.
-        assert!(
-            prefixes_by_origin.values().flatten().eq(tracked.keys()),
-            "tracked prefixes are not grouped by ascending origin; \
-             the dirty-set observe would reorder the update log"
-        );
         let all_origins: Vec<Asn> = prefixes_by_origin.keys().copied().collect();
         let prefixes_of = |o: Asn| prefixes_by_origin.get(&o).map_or(&[][..], |v| v.as_slice());
 
         let mut fc = FastConverge::new(self.topo.graph.clone(), all_origins.iter().copied());
-        let mut collector = Collector::new(&self.session_peers, &self.config.collector)?;
         let mut log = UpdateLog::default();
         let horizon_end = SimTime::ZERO + self.config.churn.horizon;
 
@@ -754,7 +753,7 @@ impl Scenario {
 
         // Play the schedule (generation + replay are one churn span).
         let replay_started = std::time::Instant::now();
-        let n_events = obs::timed("churn", || -> QsResult<usize> {
+        let n_events = {
             let _replay_span = obs::prof::span("churn", "replay");
             // Batch mode generates the schedule inside the span (a pure
             // function of the seed); streaming mode consumes whatever
@@ -845,8 +844,8 @@ impl Scenario {
                     detail: format!("checkpoint at event {cursor}, schedule has {n}"),
                 });
             }
-            Ok(n)
-        })?;
+            n
+        };
         obs::incr("churn", "events", n_events as u64);
         let replay_s = replay_started.elapsed().as_secs_f64();
         if replay_s > 0.0 {
@@ -865,10 +864,10 @@ impl Scenario {
             horizon_end,
         );
 
-        let (cleaned, removed_duplicates, reset_bursts) =
-            obs::timed("collector", || {
-                clean_session_resets(&log, &CleaningConfig::default())
-            });
+        let (cleaned, removed_duplicates, reset_bursts) = {
+            let _span = obs::prof::span("collector", "clean");
+            clean_session_resets(&log, &CleaningConfig::default())
+        };
         Ok(MonthResult {
             raw: log,
             cleaned,

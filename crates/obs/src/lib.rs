@@ -12,8 +12,10 @@
 //!   fixed-bucket histograms keyed by `(stage, name, session)` —
 //!   replay rates, reconnect counts, alarm-latency histograms,
 //!   fault-injector decisions, correlation scores.
-//! * **Profiling** ([`timed`]): stage-level wall-clock spans recorded
-//!   as `wall_ms` histograms and forwarded to the subscriber.
+//! * **Profiling** ([`prof`]): hierarchical wall-clock and allocation
+//!   spans, the workspace's one clock. Off by default (one atomic load
+//!   per span); a run report's stage table is its root spans grouped
+//!   by stage.
 //! * **Run reports** ([`report::RunReport`]): the machine-readable
 //!   end-of-run artifact behind `repro --obs-out=run.json` and
 //!   `repro report`.
@@ -35,10 +37,8 @@
 //!
 //! let reg = Arc::new(obs::Registry::new());
 //! let out = obs::with_metrics(reg.clone(), || {
-//!     obs::timed("churn", || {
-//!         obs::incr("churn", "events", 10);
-//!         2 + 2
-//!     })
+//!     obs::incr("churn", "events", 10);
+//!     2 + 2
 //! });
 //! assert_eq!(out, 4);
 //! assert_eq!(reg.counter_value(obs::Key::stage("churn", "events")), 10);
@@ -69,10 +69,6 @@ pub use subscriber::{
 
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Instant;
-
-/// Name of the per-stage wall-time histogram recorded by [`timed`].
-pub const WALL_MS: &str = "wall_ms";
 
 static GLOBAL_SUBSCRIBER: RwLock<Option<Arc<dyn Subscriber>>> = RwLock::new(None);
 static GLOBAL_REGISTRY: OnceLock<Arc<Registry>> = OnceLock::new();
@@ -216,29 +212,10 @@ pub fn observe(stage: &'static str, name: &'static str, value: f64) {
     metrics().observe(Key::stage(stage, name), value);
 }
 
-/// Record `value` into the per-session histogram `(stage, name, session)`.
-pub fn observe_session(stage: &'static str, name: &'static str, session: u32, value: f64) {
-    metrics().observe(Key::session(stage, name, session), value);
-}
-
 /// Record `value` into `(stage, name)` with custom bucket `bounds`
 /// (used for scores in `[-1, 1]`, e.g. [`SCORE_BOUNDS`]).
 pub fn observe_bounded(stage: &'static str, name: &'static str, value: f64, bounds: &[f64]) {
     metrics().observe_bounded(Key::stage(stage, name), value, bounds);
-}
-
-/// Profile `f` as one span of `stage`: wall time lands in the stage's
-/// `wall_ms` histogram and is forwarded to the subscriber's
-/// `span_end`. Returns `f`'s result unchanged.
-pub fn timed<R>(stage: &'static str, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    metrics().observe(Key::stage(stage, WALL_MS), wall_ms);
-    if let Some(s) = current_subscriber() {
-        s.span_end(stage, wall_ms);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -297,25 +274,6 @@ mod tests {
         // not the abandoned override.
         incr("topology", "panic_probe", 1);
         assert_eq!(reg.counter_value(Key::stage("topology", "panic_probe")), 0);
-    }
-
-    #[test]
-    fn timed_records_wall_ms_and_notifies_subscriber() {
-        let reg = Arc::new(Registry::new());
-        let sub = Arc::new(MemorySubscriber::new());
-        let value = with_metrics(reg.clone(), || {
-            with_subscriber(sub.clone(), || timed("topology", || 42))
-        });
-        assert_eq!(value, 42);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms.len(), 1);
-        assert_eq!(snap.histograms[0].stage, "topology");
-        assert_eq!(snap.histograms[0].name, WALL_MS);
-        assert_eq!(snap.histograms[0].stats.count, 1);
-        let spans = sub.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "topology");
-        assert!(spans[0].1 >= 0.0);
     }
 
     #[test]

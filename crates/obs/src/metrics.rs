@@ -569,15 +569,14 @@ impl Snapshot {
         v
     }
 
-    /// Does `stage` have at least one metric besides the `wall_ms`
-    /// profiling histogram?
+    /// Does `stage` have at least one metric besides the profiler's
+    /// published span-latency histograms?
     pub fn has_stage_metrics(&self, stage: &str) -> bool {
         self.counters.iter().any(|e| e.stage == stage)
             || self.gauges.iter().any(|e| e.stage == stage)
-            || self
-                .histograms
-                .iter()
-                .any(|e| e.stage == stage && e.name != crate::WALL_MS)
+            || self.histograms.iter().any(|e| {
+                e.stage == stage && !e.name.ends_with(crate::prof::SPAN_HISTOGRAM_SUFFIX)
+            })
     }
 }
 

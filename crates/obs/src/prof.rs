@@ -1,8 +1,12 @@
-//! The span profiler's control plane: global on/off gate, sampling,
-//! the alloc probe, tree registration, and aggregation.
+//! The span profiler's control plane: global on/off gate, the alloc
+//! probe, tree registration, and aggregation.
+//!
+//! Spans are the workspace's one clock: a run report's stage table is
+//! built from the root spans of a captured [`Profile`] (see
+//! [`crate::RunReport::assemble`]).
 //!
 //! The hot-path contract: when the profiler is **off**,
-//! [`span`] costs one relaxed atomic load and returns an inert guard —
+//! [`span()`] costs one relaxed atomic load and returns an inert guard —
 //! no thread-local access, no clock read, no allocation. When **on**,
 //! each span costs two monotonic clock reads, two alloc-probe reads,
 //! and one short mutex hold on the thread's preallocated span tree; the only
@@ -36,18 +40,22 @@
 //! ```
 
 use crate::metrics::{intern, Key, Registry, LOG2_US_BOUNDS};
+
+/// Name suffix of the latency histograms [`Profile::publish`] files
+/// under each span's stage. They are timing, not stage metrics, so
+/// [`crate::Snapshot::has_stage_metrics`] ignores them.
+pub const SPAN_HISTOGRAM_SUFFIX: &str = "_span_us";
 use crate::span::{self, SpanGuard, SpanNodeStats, SpanTree, SPAN_LATENCY_BUCKETS};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 static TREES: Mutex<Vec<Arc<SpanTree>>> = Mutex::new(Vec::new());
 
 /// Turn the profiler on or off process-wide. Off is the default and
-/// costs one atomic load per [`span`] call.
+/// costs one atomic load per [`span()`] call.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -55,18 +63,6 @@ pub fn set_enabled(on: bool) {
 /// Is the profiler currently recording?
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Record only every `every`-th top-level span activation (nested
-/// spans follow their root's fate, so trees stay internally
-/// consistent). `0` is treated as `1` (record everything — the
-/// default).
-pub fn set_sample_every(every: u64) {
-    SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
-}
-
-pub(crate) fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
 }
 
 /// Install the allocation-count probe (a monotonic count of heap
@@ -110,7 +106,7 @@ fn registered_trees() -> Vec<Arc<SpanTree>> {
 /// `_` drops it immediately and records a zero-length span.
 pub fn span(stage: &'static str, name: &'static str) -> SpanGuard {
     if !enabled() {
-        return SpanGuard::disabled();
+        return SpanGuard::inert();
     }
     span::enter(stage, name)
 }
@@ -156,8 +152,6 @@ pub struct ProfileEntry {
 /// An aggregated snapshot of every registered span tree.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profile {
-    /// Sampling in effect when captured (`1` = every activation).
-    pub sample_every: u64,
     /// Spans dropped to depth/node-table limits across all trees.
     pub dropped: u64,
     /// Aggregated call paths, sorted by path.
@@ -183,7 +177,7 @@ impl Profile {
     }
 
     /// Fold every entry's latency buckets into `registry` as
-    /// per-`(stage, name)` histograms named `<name>_span_us` over
+    /// per-`(stage, name)` histograms named `<name>` + [`SPAN_HISTOGRAM_SUFFIX`] over
     /// [`LOG2_US_BOUNDS`]. Entries sharing a leaf site but reached by
     /// different paths merge into one histogram.
     pub fn publish(&self, registry: &Registry) {
@@ -191,7 +185,7 @@ impl Profile {
             if e.count == 0 {
                 continue;
             }
-            let key = Key::stage(intern(&e.stage), intern(&format!("{}_span_us", e.name)));
+            let key = Key::stage(intern(&e.stage), intern(&format!("{}{SPAN_HISTOGRAM_SUFFIX}", e.name)));
             registry.merge_histogram(
                 key,
                 &LOG2_US_BOUNDS,
@@ -232,7 +226,6 @@ pub fn capture() -> Profile {
         }
     }
     Profile {
-        sample_every: sample_every(),
         dropped,
         entries: merged.into_values().collect(),
     }
@@ -287,7 +280,6 @@ mod tests {
     fn with_profiler<R>(f: impl FnOnce() -> R) -> R {
         let _lock = GATE.lock().unwrap_or_else(|e| e.into_inner());
         reset();
-        set_sample_every(1);
         set_enabled(true);
         let out = f();
         set_enabled(false);
@@ -342,38 +334,6 @@ mod tests {
         let collapsed = profile.collapsed();
         assert!(collapsed.contains("churn.replay "));
         assert!(collapsed.contains("churn.replay;collector.observe "));
-    }
-
-    #[test]
-    fn sampling_skips_whole_activations() {
-        let profile = with_profiler(|| {
-            let tree = Arc::new(SpanTree::new());
-            register_tree(&tree);
-            set_sample_every(4);
-            with_tree(&tree, || {
-                for _ in 0..8 {
-                    let _root = span("churn", "replay");
-                    let _child = span("churn", "apply");
-                }
-            });
-            set_sample_every(1);
-            let profile = capture();
-            reset();
-            profile
-        });
-        let root = profile
-            .entries
-            .iter()
-            .find(|e| e.path == "churn.replay")
-            .expect("root recorded");
-        let child = profile
-            .entries
-            .iter()
-            .find(|e| e.path == "churn.replay;churn.apply")
-            .expect("child recorded");
-        // Exactly every 4th activation recorded, children in lockstep.
-        assert_eq!(root.count, 2);
-        assert_eq!(child.count, 2);
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Machine-readable run reports.
 //!
 //! A [`RunReport`] is the end-of-run artifact written by
-//! `repro --obs-out=run.json`: per-stage wall time (from the `wall_ms`
-//! profiling histograms recorded by [`crate::timed`]), a full metric
+//! `repro --obs-out=run.json`: per-stage wall time (the root spans of
+//! the run's [`Profile`], grouped by stage), a full metric
 //! [`Snapshot`], and the alarm timeline extracted from buffered monitor
 //! events. `repro report run.json` pretty-prints one report or diffs
 //! two; [`RunReport::validate`] is the CI schema gate that fails a run
 //! missing any of the six instrumented stages.
 
 use crate::event::Event;
-use crate::metrics::Snapshot;
+use crate::metrics::{Histogram, Snapshot, LOG2_US_BOUNDS};
+use crate::prof::Profile;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Report schema version, bumped on incompatible changes.
 pub const REPORT_VERSION: u32 = 1;
 
 /// The six pipeline stages every full run must profile. A report
-/// missing wall time or metrics for any of these fails validation.
+/// missing a root span or metrics for any of these fails validation.
 pub const REQUIRED_STAGES: [&str; 6] = [
     "topology",
     "churn",
@@ -26,21 +28,61 @@ pub const REQUIRED_STAGES: [&str; 6] = [
     "correlate",
 ];
 
-/// Wall-time profile of one pipeline stage.
+/// Wall-time profile of one pipeline stage: its root spans (spans
+/// opened with no other span open on the thread). Nested spans are
+/// part of their root's time, so stage totals never double-count: a
+/// single-threaded run's add up to at most its wall (a fleet's cells
+/// run concurrently, so theirs can exceed it).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageReport {
     /// Stage name (see [`REQUIRED_STAGES`]).
     pub stage: String,
-    /// Number of timed spans recorded for the stage.
+    /// Number of root spans recorded for the stage.
     pub calls: u64,
-    /// Total wall time across all spans, milliseconds.
+    /// Total wall time across all root spans, milliseconds.
     pub wall_ms_total: f64,
-    /// Mean span duration, milliseconds.
+    /// Mean root-span duration, milliseconds.
     pub wall_ms_mean: f64,
-    /// Estimated p95 span duration, milliseconds.
+    /// Estimated p95 root-span duration (log₂ bucket upper bound,
+    /// clamped to the observed range), milliseconds.
     pub wall_ms_p95: f64,
-    /// Longest span, milliseconds.
+    /// Longest root span, milliseconds.
     pub wall_ms_max: f64,
+}
+
+impl StageReport {
+    /// The stage table of `profile`: its root spans grouped by stage,
+    /// ordered by stage name.
+    fn from_root_spans(profile: &Profile) -> Vec<StageReport> {
+        let mut by_stage: BTreeMap<&str, Histogram> = BTreeMap::new();
+        for e in profile.entries.iter().filter(|e| !e.path.contains(';')) {
+            by_stage
+                .entry(&e.stage)
+                .or_insert_with(|| Histogram::new(&LOG2_US_BOUNDS))
+                .merge_parts(
+                    &e.buckets,
+                    e.count,
+                    e.total_ns as f64 / 1e3,
+                    e.min_ns as f64 / 1e3,
+                    e.max_ns as f64 / 1e3,
+                );
+        }
+        by_stage
+            .into_iter()
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(stage, h)| {
+                let total_ms = h.sum() / 1e3;
+                StageReport {
+                    stage: stage.to_string(),
+                    calls: h.count(),
+                    wall_ms_total: total_ms,
+                    wall_ms_mean: total_ms / h.count() as f64,
+                    wall_ms_p95: h.quantile(0.95).unwrap_or(0.0) / 1e3,
+                    wall_ms_max: h.max().unwrap_or(0.0) / 1e3,
+                }
+            })
+            .collect()
+    }
 }
 
 /// One monitor alarm, lifted from the event stream into the report.
@@ -137,24 +179,21 @@ pub struct ProfileSpanEntry {
     pub total_allocs: u64,
 }
 
-/// Span-profiler summary, attached to reports written with profiling
-/// enabled (`repro --profile-out`). Wall-clock content through and
-/// through, so [`RunReport::normalized`] strips it — old-schema files
-/// without the section and new files with it `--check` identically.
+/// Span-profiler summary, attached to reports of profiled runs (every
+/// `repro --obs-out` run). Wall-clock content through and through, so
+/// [`RunReport::normalized`] strips it — old-schema files without the
+/// section and new files with it `--check` identically.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSection {
-    /// Sampling in effect (`1` = every top-level activation recorded).
-    pub sample_every: u64,
     /// Spans dropped to depth/node-table limits.
     pub dropped: u64,
     /// Aggregated call paths, sorted by path.
     pub spans: Vec<ProfileSpanEntry>,
 }
 
-impl From<&crate::prof::Profile> for ProfileSection {
-    fn from(profile: &crate::prof::Profile) -> ProfileSection {
+impl From<&Profile> for ProfileSection {
+    fn from(profile: &Profile) -> ProfileSection {
         ProfileSection {
-            sample_every: profile.sample_every,
             dropped: profile.dropped,
             spans: profile
                 .entries
@@ -188,32 +227,25 @@ pub struct RunReport {
     /// Supervisor summary — only on supervised (`repro serve`) runs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub supervisor: Option<SupervisorSection>,
-    /// Span-profiler summary — only on runs with profiling enabled.
+    /// Span-profiler summary — only on runs that recorded spans.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub profile: Option<ProfileSection>,
 }
 
 impl RunReport {
-    /// Build a report from a metric snapshot and the buffered event
-    /// stream of a run.
+    /// Build a report from a metric snapshot, the buffered event stream
+    /// and the span profile of a run.
     ///
-    /// Stages come from the stage-level `wall_ms` histograms recorded
-    /// by [`crate::timed`]; alarms from events named `"alarm"` in the
-    /// `"monitor"` stage.
-    pub fn assemble(label: impl Into<String>, metrics: &Snapshot, events: &[Event]) -> RunReport {
-        let stages = metrics
-            .histograms
-            .iter()
-            .filter(|h| h.name == crate::WALL_MS && h.session.is_none())
-            .map(|h| StageReport {
-                stage: h.stage.clone(),
-                calls: h.stats.count,
-                wall_ms_total: h.stats.sum,
-                wall_ms_mean: h.stats.mean,
-                wall_ms_p95: h.stats.p95,
-                wall_ms_max: h.stats.max,
-            })
-            .collect();
+    /// Stages are the profile's root spans grouped by stage (see
+    /// [`StageReport`]); alarms come from events named `"alarm"` in the
+    /// `"monitor"` stage. A non-empty profile is also attached whole as
+    /// the [`ProfileSection`].
+    pub fn assemble(
+        label: impl Into<String>,
+        metrics: &Snapshot,
+        events: &[Event],
+        profile: &Profile,
+    ) -> RunReport {
         let alarms = events
             .iter()
             .filter(|e| e.stage == "monitor" && e.name == "alarm")
@@ -235,21 +267,12 @@ impl RunReport {
         RunReport {
             version: REPORT_VERSION,
             label: label.into(),
-            stages,
+            stages: StageReport::from_root_spans(profile),
             metrics: metrics.clone(),
             alarms,
             supervisor: SupervisorSection::from_snapshot(metrics),
-            profile: None,
+            profile: (!profile.is_empty()).then(|| ProfileSection::from(profile)),
         }
-    }
-
-    /// Attach a span-profiler capture (builder style), omitting empty
-    /// profiles so unprofiled runs keep the section absent.
-    pub fn with_profile(mut self, profile: &crate::prof::Profile) -> RunReport {
-        if !profile.is_empty() {
-            self.profile = Some(ProfileSection::from(profile));
-        }
-        self
     }
 
     /// The stage profile for `stage`, if recorded.
@@ -258,7 +281,7 @@ impl RunReport {
     }
 
     /// Schema validation. Batch reports: every
-    /// [required stage](REQUIRED_STAGES) must have at least one timed
+    /// [required stage](REQUIRED_STAGES) must have at least one root
     /// span *and* a non-empty metric snapshot. Fleet reports (a
     /// `supervisor` section is present): the per-cell stage metrics
     /// live in the cells' private registries, so the six-stage rule
@@ -292,9 +315,9 @@ impl RunReport {
         } else {
             for stage in REQUIRED_STAGES {
                 match self.stage(stage) {
-                    None => problems.push(format!("stage '{stage}': no wall-time profile")),
+                    None => problems.push(format!("stage '{stage}': no root span")),
                     Some(s) if s.calls == 0 => {
-                        problems.push(format!("stage '{stage}': zero timed calls"))
+                        problems.push(format!("stage '{stage}': zero root spans"))
                     }
                     Some(_) => {}
                 }
@@ -375,9 +398,6 @@ impl RunReport {
             }
         }
         for h in &self.metrics.histograms {
-            if h.name == crate::WALL_MS {
-                continue; // already shown in the stage table
-            }
             let _ = writeln!(
                 out,
                 "  {}.{}: n={} mean={:.3} p50={:.3} p90={:.3} p99={:.3} max={:.3}",
@@ -394,9 +414,8 @@ impl RunReport {
         if let Some(profile) = &self.profile {
             let _ = writeln!(
                 out,
-                "\nspan profile: {} paths, sample 1/{}, {} dropped",
+                "\nspan profile: {} paths, {} dropped",
                 profile.spans.len(),
-                profile.sample_every,
                 profile.dropped
             );
             let _ = writeln!(
@@ -454,9 +473,9 @@ impl RunReport {
     /// that must be bitwise-identical between an uninterrupted run and
     /// an interrupted-then-resumed run of the same scenario.
     ///
-    /// What goes: everything wall-clock (per-stage `wall_ms` totals in
-    /// the stage table and the histogram snapshot, the `replay_rate`
-    /// gauge) and everything describing the machinery around the run
+    /// What goes: everything wall-clock (per-stage wall totals in the
+    /// stage table, the span profile and its `_span_us` histograms, the
+    /// `replay_rate` gauge) and everything describing the machinery around the run
     /// rather than the run (`recover`-stage metrics — an uninterrupted
     /// baseline has none by definition — and `supervisor`-stage
     /// metrics). What stays: stage call counts, every other counter and
@@ -475,19 +494,16 @@ impl RunReport {
         out.metrics
             .gauges
             .retain(|g| !engine(&g.stage) && g.name != "replay_rate");
-        out.metrics
-            .histograms
-            .retain(|h| !engine(&h.stage) && h.name != crate::WALL_MS);
-        // Watchdog trips and restarts are wall-clock-dependent, so the
-        // whole supervisor story is execution-engine content too.
-        out.supervisor = None;
         // Span profiles are wall-clock through and through, and the
         // `_span_us` histograms they publish into the registry follow
         // them out.
+        out.metrics.histograms.retain(|h| {
+            !engine(&h.stage) && !h.name.ends_with(crate::prof::SPAN_HISTOGRAM_SUFFIX)
+        });
         out.profile = None;
-        out.metrics
-            .histograms
-            .retain(|h| !h.name.ends_with("_span_us"));
+        // Watchdog trips and restarts are wall-clock-dependent, so the
+        // whole supervisor story is execution-engine content too.
+        out.supervisor = None;
         out
     }
 
@@ -650,21 +666,58 @@ mod tests {
     use super::*;
     use crate::event::Level;
     use crate::metrics::{Key, Registry};
+    use crate::prof::ProfileEntry;
+    use crate::span::{latency_bucket, SPAN_LATENCY_BUCKETS};
 
+    /// `count` activations of the span at `path`, `each_ns` apiece.
+    fn span_entry(path: &str, count: u64, each_ns: u64) -> ProfileEntry {
+        let leaf = path.rsplit(';').next().unwrap();
+        let (stage, name) = leaf.split_once('.').unwrap();
+        let mut buckets = vec![0; SPAN_LATENCY_BUCKETS];
+        buckets[latency_bucket(each_ns)] = count;
+        ProfileEntry {
+            path: path.to_string(),
+            stage: stage.to_string(),
+            name: name.to_string(),
+            count,
+            self_ns: count * each_ns,
+            total_ns: count * each_ns,
+            self_allocs: 0,
+            total_allocs: 0,
+            min_ns: each_ns,
+            max_ns: each_ns,
+            buckets,
+        }
+    }
+
+    fn profile_of(entries: Vec<ProfileEntry>) -> Profile {
+        Profile {
+            dropped: 0,
+            entries,
+        }
+    }
+
+    /// One 5 ms root span per required stage.
+    fn full_profile() -> Profile {
+        profile_of(
+            REQUIRED_STAGES
+                .iter()
+                .map(|stage| span_entry(&format!("{stage}.run"), 1, 5_000_000))
+                .collect(),
+        )
+    }
+
+    /// One counter per required stage.
     fn full_registry() -> Registry {
         let r = Registry::new();
         for stage in REQUIRED_STAGES {
-            r.observe(Key::stage(stage, crate::WALL_MS), 5.0);
-            r.incr(
-                Key {
-                    stage,
-                    name: "calls",
-                    session: None,
-                },
-                1,
-            );
+            r.incr(Key::stage(stage, "calls"), 1);
         }
         r
+    }
+
+    fn full_report(label: &str) -> RunReport {
+        RunReport::assemble(label, &full_registry().snapshot(), &[], &full_profile())
     }
 
     #[test]
@@ -679,7 +732,7 @@ mod tests {
                 .with("confidence", 0.9),
             Event::new(Level::Warn, "monitor", "stale", "not an alarm"),
         ];
-        let rep = RunReport::assemble("test", &r.snapshot(), &events);
+        let rep = RunReport::assemble("test", &r.snapshot(), &events, &full_profile());
         assert_eq!(rep.stages.len(), 6);
         assert_eq!(rep.alarms.len(), 1);
         assert_eq!(rep.alarms[0].prefix, "10.0.0.0/8");
@@ -688,22 +741,65 @@ mod tests {
     }
 
     #[test]
+    fn stages_are_root_spans_grouped_by_stage() {
+        let profile = profile_of(vec![
+            span_entry("churn.replay", 1, 40_000_000),
+            // Nested spans are part of their root's time, whatever
+            // their own stage.
+            span_entry("churn.replay;collector.refresh", 100, 100_000),
+            span_entry("collector.observe", 3, 2_000_000),
+            span_entry("collector.clean", 1, 10_000_000),
+        ]);
+        let rep = RunReport::assemble("roots", &Registry::new().snapshot(), &[], &profile);
+        let stages: Vec<&str> = rep.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, ["churn", "collector"]);
+        let churn = rep.stage("churn").unwrap();
+        assert_eq!(churn.calls, 1);
+        assert!((churn.wall_ms_total - 40.0).abs() < 1e-9);
+        let collector = rep.stage("collector").unwrap();
+        assert_eq!(collector.calls, 4);
+        assert!((collector.wall_ms_total - 16.0).abs() < 1e-9);
+        assert!((collector.wall_ms_mean - 4.0).abs() < 1e-9);
+        assert!((collector.wall_ms_max - 10.0).abs() < 1e-9);
+        // The slowest of four calls is the p95 (its log₂ bucket bound,
+        // clamped to the exact max).
+        assert!((collector.wall_ms_p95 - 10.0).abs() < 1e-9);
+        // The whole profile rides along.
+        assert_eq!(rep.profile.as_ref().unwrap().spans.len(), 4);
+    }
+
+    #[test]
     fn validate_reports_every_missing_stage() {
         let r = Registry::new();
-        r.observe(Key::stage("topology", crate::WALL_MS), 1.0);
         r.incr(Key::stage("topology", "nodes"), 10);
-        let rep = RunReport::assemble("partial", &r.snapshot(), &[]);
+        let profile = profile_of(vec![span_entry("topology.build", 1, 1_000_000)]);
+        let rep = RunReport::assemble("partial", &r.snapshot(), &[], &profile);
         let errs = rep.validate().unwrap_err();
-        // Five stages missing wall time, five missing metrics.
+        // Five stages missing a root span, five missing metrics.
         assert_eq!(errs.len(), 10);
         assert!(errs.iter().any(|e| e.contains("'churn'")));
         assert!(!errs.iter().any(|e| e.contains("'topology'")));
     }
 
     #[test]
+    fn published_span_histograms_are_not_stage_metrics() {
+        // Every stage has a root span and, once the profile is
+        // published, a `_span_us` histogram; only `topology` has a real
+        // metric, so the other five must still fail the metrics check.
+        let r = Registry::new();
+        r.incr(Key::stage("topology", "nodes"), 10);
+        let profile = full_profile();
+        profile.publish(&r);
+        let rep = RunReport::assemble("published", &r.snapshot(), &[], &profile);
+        let errs = rep.validate().unwrap_err();
+        assert_eq!(errs.len(), 5);
+        assert!(errs.iter().all(|e| e.ends_with("empty metric snapshot")));
+        assert!(!errs.iter().any(|e| e.contains("'topology'")));
+    }
+
+    #[test]
     fn report_roundtrips_and_renders() {
-        let r = full_registry();
-        let rep = RunReport::assemble("round", &r.snapshot(), &[]);
+        let rep = full_report("round");
         let json = serde_json::to_string_pretty(&rep).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rep);
@@ -719,14 +815,15 @@ mod tests {
         r.observe(Key::stage("recover", "save_ms"), 12.0);
         r.gauge(Key::stage("churn", "replay_rate"), 1234.5);
         r.gauge(Key::stage("topology", "ases"), 500.0);
-        let rep = RunReport::assemble("x", &r.snapshot(), &[]);
+        let rep = RunReport::assemble("x", &r.snapshot(), &[], &full_profile());
         let norm = rep.normalized();
         assert!(norm.stages.iter().all(|s| s.wall_ms_total == 0.0
             && s.wall_ms_mean == 0.0
             && s.wall_ms_p95 == 0.0
             && s.wall_ms_max == 0.0));
-        // Call counts survive; wall histograms and recover metrics go.
+        // Call counts survive; the profile and recover metrics go.
         assert!(norm.stages.iter().all(|s| s.calls > 0));
+        assert!(norm.profile.is_none());
         assert!(norm.metrics.histograms.is_empty());
         assert!(!norm.metrics.counters.iter().any(|c| c.stage == "recover"));
         assert!(!norm.metrics.gauges.iter().any(|g| g.name == "replay_rate"));
@@ -739,18 +836,19 @@ mod tests {
         // are deterministically equal.
         let r1 = full_registry();
         r1.gauge(Key::stage("churn", "replay_rate"), 100.0);
-        let a = RunReport::assemble("full", &r1.snapshot(), &[]);
+        let a = RunReport::assemble("full", &r1.snapshot(), &[], &full_profile());
         let r2 = full_registry();
-        r2.observe(Key::stage("churn", crate::WALL_MS), 900.0);
         r2.incr(Key::stage("recover", "saves"), 3);
         r2.incr(Key::stage("recover", "resumes"), 1);
         r2.gauge(Key::stage("churn", "replay_rate"), 6400.0);
-        let b = RunReport::assemble("resumed", &r2.snapshot(), &[]);
+        let mut slow = full_profile();
+        slow.entries.push(span_entry("churn.replay", 1, 900_000_000));
+        let b = RunReport::assemble("resumed", &r2.snapshot(), &[], &slow);
         assert_eq!(a.deterministic_deltas(&b), Vec::<String>::new());
 
         // A real pipeline-counter divergence is caught.
         r2.incr(Key::stage("collector", "records"), 1);
-        let b = RunReport::assemble("diverged", &r2.snapshot(), &[]);
+        let b = RunReport::assemble("diverged", &r2.snapshot(), &[], &slow);
         let deltas = a.deterministic_deltas(&b);
         assert_eq!(deltas.len(), 1);
         assert!(deltas[0].contains("collector.records"));
@@ -760,7 +858,7 @@ mod tests {
             .with("at_s", 1.0)
             .with("prefix", "10.0.0.0/8")
             .with("kind", "origin-change");
-        let c = RunReport::assemble("alarmed", &r1.snapshot(), &[ev]);
+        let c = RunReport::assemble("alarmed", &r1.snapshot(), &[ev], &full_profile());
         assert!(a
             .deterministic_deltas(&c)
             .iter()
@@ -783,7 +881,12 @@ mod tests {
 
     #[test]
     fn supervisor_section_assembles_validates_and_renders() {
-        let rep = RunReport::assemble("fleet", &supervised_registry().snapshot(), &[]);
+        let rep = RunReport::assemble(
+            "fleet",
+            &supervised_registry().snapshot(),
+            &[],
+            &Profile::default(),
+        );
         let sup = rep.supervisor.as_ref().expect("supervisor metrics present");
         assert_eq!(sup.cells, 8);
         assert_eq!(sup.completed, 7);
@@ -802,7 +905,7 @@ mod tests {
         let r = supervised_registry();
         r.incr(Key::stage("supervisor", "cells"), 1);
         r.incr(Key::stage("supervisor", "failed"), 1);
-        let rep = RunReport::assemble("fleet2", &r.snapshot(), &[]);
+        let rep = RunReport::assemble("fleet2", &r.snapshot(), &[], &Profile::default());
         assert_eq!(rep.supervisor.as_ref().unwrap().quarantined, 2);
         assert!(rep.validate().is_ok());
     }
@@ -811,7 +914,7 @@ mod tests {
     fn supervisor_section_is_optional_and_normalized_away() {
         // Batch reports (no supervisor metrics) have no section, and
         // pre-section JSON still deserializes.
-        let batch = RunReport::assemble("batch", &full_registry().snapshot(), &[]);
+        let batch = full_report("batch");
         assert!(batch.supervisor.is_none());
         let json = serde_json::to_string(&batch).unwrap();
         assert!(!json.contains("supervisor"));
@@ -821,17 +924,9 @@ mod tests {
         // supervised run --checks clean against its batch twin.
         let r = supervised_registry();
         for stage in REQUIRED_STAGES {
-            r.incr(
-                Key {
-                    stage,
-                    name: "calls",
-                    session: None,
-                },
-                1,
-            );
-            r.observe(Key::stage(stage, crate::WALL_MS), 5.0);
+            r.incr(Key::stage(stage, "calls"), 1);
         }
-        let fleet = RunReport::assemble("fleet", &r.snapshot(), &[]);
+        let fleet = RunReport::assemble("fleet", &r.snapshot(), &[], &full_profile());
         let norm = fleet.normalized();
         assert!(norm.supervisor.is_none());
         assert!(!norm.metrics.counters.iter().any(|c| c.stage == "supervisor"));
@@ -839,60 +934,44 @@ mod tests {
         assert_eq!(batch.deterministic_deltas(&fleet), Vec::<String>::new());
     }
 
-    fn sample_profile() -> crate::prof::Profile {
-        crate::prof::Profile {
-            sample_every: 1,
-            dropped: 0,
-            entries: vec![crate::prof::ProfileEntry {
-                path: "churn.replay;churn.apply".to_string(),
-                stage: "churn".to_string(),
-                name: "apply".to_string(),
-                count: 10,
-                self_ns: 5_000_000,
-                total_ns: 9_000_000,
-                self_allocs: 0,
-                total_allocs: 0,
-                min_ns: 100,
-                max_ns: 2_000_000,
-                buckets: vec![0; crate::span::SPAN_LATENCY_BUCKETS],
-            }],
-        }
-    }
-
     #[test]
     fn profile_section_is_optional_validated_and_normalized_away() {
-        let batch = RunReport::assemble("batch", &full_registry().snapshot(), &[]);
-        assert!(batch.profile.is_none());
-        let profiled = batch.clone().with_profile(&sample_profile());
+        let unprofiled =
+            RunReport::assemble("plain", &full_registry().snapshot(), &[], &Profile::default());
+        assert!(unprofiled.profile.is_none());
+        assert!(unprofiled.stages.is_empty());
+        let mut profile = full_profile();
+        profile
+            .entries
+            .push(span_entry("churn.run;churn.apply", 10, 900_000));
+        let profiled = RunReport::assemble("profiled", &full_registry().snapshot(), &[], &profile);
         let section = profiled.profile.as_ref().expect("profile attached");
-        assert_eq!(section.spans.len(), 1);
-        assert!((section.spans[0].self_us - 5_000.0).abs() < 1e-9);
+        assert_eq!(section.spans.len(), 7);
+        let apply = section
+            .spans
+            .iter()
+            .find(|s| s.path == "churn.run;churn.apply")
+            .unwrap();
+        assert!((apply.self_us - 9_000.0).abs() < 1e-9);
         assert!(profiled.validate().is_ok());
         // Renders a span table and survives a JSON round trip.
-        assert!(profiled.render().contains("span profile: 1 paths"));
+        assert!(profiled.render().contains("span profile: 7 paths"));
         let json = serde_json::to_string(&profiled).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, profiled);
         // Old-schema files (no profile key) still parse, and a
-        // profiled report normalizes to its unprofiled twin — the
-        // `report --check` tolerance the satellite asks for.
-        let old_json = serde_json::to_string(&batch).unwrap();
+        // profiled report normalizes to its unprofiled twin.
+        let old_json = serde_json::to_string(&unprofiled).unwrap();
         assert!(!old_json.contains("\"profile\""));
         let old: RunReport = serde_json::from_str(&old_json).unwrap();
         assert!(old.profile.is_none());
         assert_eq!(profiled.normalized().profile, None);
         assert_eq!(old.deterministic_deltas(&profiled), Vec::<String>::new());
-        // An empty capture attaches nothing.
-        assert!(batch
-            .clone()
-            .with_profile(&crate::prof::Profile::default())
-            .profile
-            .is_none());
         // Published `_span_us` histograms normalize away with the
         // section.
         let r = full_registry();
-        sample_profile().publish(&r);
-        let rep = RunReport::assemble("spanhist", &r.snapshot(), &[]);
+        profile.publish(&r);
+        let rep = RunReport::assemble("spanhist", &r.snapshot(), &[], &profile);
         assert!(rep
             .metrics
             .histograms
@@ -923,14 +1002,16 @@ mod tests {
 
     #[test]
     fn diff_surfaces_counter_and_time_changes() {
-        let a = RunReport::assemble("a", &full_registry().snapshot(), &[]);
+        let a = full_report("a");
         let r2 = full_registry();
         r2.incr(Key::stage("collector", "reconnects"), 3);
-        r2.observe(Key::stage("churn", crate::WALL_MS), 100.0);
-        let b = RunReport::assemble("b", &r2.snapshot(), &[]);
+        let mut slow = full_profile();
+        slow.entries.push(span_entry("churn.replay", 1, 100_000_000));
+        let b = RunReport::assemble("b", &r2.snapshot(), &[], &slow);
         let d = a.diff(&b);
         assert!(d.contains("collector.reconnects: 0 -> 3 (+3)"));
         assert!(d.contains("churn"));
+        assert!(d.contains("+2000.0%"));
         assert!(d.contains("alarms: 0 -> 0"));
     }
 }

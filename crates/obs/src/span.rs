@@ -11,12 +11,12 @@
 //! (DESIGN.md §11) survives profiling.
 //!
 //! Trees are registered with [`crate::prof`], which owns the global
-//! on/off gate, sampling, the alloc probe, and aggregation into a
+//! on/off gate, the alloc probe, and aggregation into a
 //! [`crate::prof::Profile`].
 
 use crate::metrics::LOG2_US_BOUNDS;
 use crate::prof;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -71,6 +71,18 @@ impl Node {
             max_ns: 0,
             buckets: [0; SPAN_LATENCY_BUCKETS],
         }
+    }
+}
+
+/// The log₂ latency bucket of a span lasting `total_ns`: bucket i holds
+/// totals ≤ 2^i µs, i.e. the smallest i with µs ≤ 2^i (= ceil(log₂ µs)),
+/// clamped into the overflow bucket.
+pub(crate) fn latency_bucket(total_ns: u64) -> usize {
+    let us = total_ns / 1_000;
+    if us <= 1 {
+        0
+    } else {
+        (64 - ((us - 1).leading_zeros() as usize)).min(SPAN_LATENCY_BUCKETS - 1)
     }
 }
 
@@ -196,16 +208,7 @@ impl SpanTree {
         n.self_allocs += self_allocs;
         n.min_ns = n.min_ns.min(total_ns);
         n.max_ns = n.max_ns.max(total_ns);
-        let us = total_ns / 1_000;
-        // log₂ bucket index: bucket i holds totals ≤ 2^i µs, i.e. the
-        // smallest i with us ≤ 2^i (= ceil(log₂ us)), clamped into the
-        // overflow bucket.
-        let idx = if us <= 1 {
-            0
-        } else {
-            (64 - ((us - 1).leading_zeros() as usize)).min(SPAN_LATENCY_BUCKETS - 1)
-        };
-        n.buckets[idx] += 1;
+        n.buckets[latency_bucket(total_ns)] += 1;
     }
 
     fn note_dropped(&self) {
@@ -267,35 +270,23 @@ struct Frame {
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     static TREE: RefCell<Option<Arc<SpanTree>>> = const { RefCell::new(None) };
-    /// Non-zero while an unsampled top-level activation is in flight:
-    /// nested spans must stay inert without consulting the stack.
-    static SKIP: Cell<u32> = const { Cell::new(0) };
-    static SAMPLE_TICK: Cell<u64> = const { Cell::new(0) };
 }
 
-enum GuardKind {
-    /// Profiler off (or construction raced a disable): nothing to undo.
-    Disabled,
-    /// Depth/node-table overflow: already counted as dropped.
-    Inert,
-    /// Unsampled activation: decrement the skip depth on drop.
-    Skipped,
-    /// A live frame was pushed: pop and record on drop.
-    Recorded,
-}
-
-/// RAII guard returned by [`prof::span`]; records the span when
+/// RAII guard returned by [`prof::span()`]; records the span when
 /// dropped. Must stay on the thread that opened it (it is `!Send`).
 pub struct SpanGuard {
-    kind: GuardKind,
+    /// A live frame was pushed: pop and record it on drop. False when
+    /// the profiler is off or the span hit a depth/node-table limit
+    /// (already counted as dropped): nothing to undo.
+    recorded: bool,
     /// Span guards close in LIFO order on their opening thread.
     _not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
-    pub(crate) fn disabled() -> SpanGuard {
+    pub(crate) fn inert() -> SpanGuard {
         SpanGuard {
-            kind: GuardKind::Disabled,
+            recorded: false,
             _not_send: PhantomData,
         }
     }
@@ -333,45 +324,11 @@ pub(crate) fn with_tree<R>(tree: &Arc<SpanTree>, f: impl FnOnce() -> R) -> R {
 }
 
 pub(crate) fn enter(stage: &'static str, name: &'static str) -> SpanGuard {
-    if SKIP.with(|s| {
-        let depth = s.get();
-        if depth > 0 {
-            s.set(depth + 1);
-            true
-        } else {
-            false
-        }
-    }) {
-        return SpanGuard {
-            kind: GuardKind::Skipped,
-            _not_send: PhantomData,
-        };
-    }
     let depth = STACK.with(|s| s.borrow().len());
-    if depth == 0 {
-        let every = prof::sample_every();
-        if every > 1 {
-            let sampled = SAMPLE_TICK.with(|t| {
-                let tick = t.get();
-                t.set(tick.wrapping_add(1));
-                tick % every == 0
-            });
-            if !sampled {
-                SKIP.with(|s| s.set(1));
-                return SpanGuard {
-                    kind: GuardKind::Skipped,
-                    _not_send: PhantomData,
-                };
-            }
-        }
-    }
     let tree = current_tree();
     if depth >= MAX_SPAN_DEPTH {
         tree.note_dropped();
-        return SpanGuard {
-            kind: GuardKind::Inert,
-            _not_send: PhantomData,
-        };
+        return SpanGuard::inert();
     }
     let parent = STACK.with(|s| {
         s.borrow()
@@ -380,10 +337,7 @@ pub(crate) fn enter(stage: &'static str, name: &'static str) -> SpanGuard {
             .map_or(NO_NODE, |f| f.node)
     });
     let Some(node) = tree.find_or_insert(parent, stage, name) else {
-        return SpanGuard {
-            kind: GuardKind::Inert,
-            _not_send: PhantomData,
-        };
+        return SpanGuard::inert();
     };
     let allocs0 = prof::alloc_count();
     STACK.with(|s| {
@@ -397,7 +351,7 @@ pub(crate) fn enter(stage: &'static str, name: &'static str) -> SpanGuard {
         })
     });
     SpanGuard {
-        kind: GuardKind::Recorded,
+        recorded: true,
         _not_send: PhantomData,
     }
 }
@@ -423,10 +377,8 @@ fn exit() {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        match self.kind {
-            GuardKind::Disabled | GuardKind::Inert => {}
-            GuardKind::Skipped => SKIP.with(|s| s.set(s.get().saturating_sub(1))),
-            GuardKind::Recorded => exit(),
+        if self.recorded {
+            exit();
         }
     }
 }

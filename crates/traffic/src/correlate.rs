@@ -81,26 +81,7 @@ pub fn correlate(
     end: SimTime,
     config: &CorrelationConfig,
 ) -> CorrelationResult {
-    obs::timed("correlate", || {
-        let result = correlate_inner(a, b, start, end, config);
-        obs::incr("correlate", "pairs", 1);
-        obs::observe_bounded(
-            "correlate",
-            "coefficient",
-            result.coefficient,
-            &obs::SCORE_BOUNDS,
-        );
-        result
-    })
-}
-
-fn correlate_inner(
-    a: &Capture,
-    b: &Capture,
-    start: SimTime,
-    end: SimTime,
-    config: &CorrelationConfig,
-) -> CorrelationResult {
+    let _span = obs::prof::span("correlate", "pair");
     let xa = a.series.bin_increments(start, end, config.bin);
     let xb = b.series.bin_increments(start, end, config.bin);
     let mut best = CorrelationResult {
@@ -129,6 +110,13 @@ fn correlate_inner(
     if best.coefficient == f64::NEG_INFINITY {
         best.coefficient = 0.0;
     }
+    obs::incr("correlate", "pairs", 1);
+    obs::observe_bounded(
+        "correlate",
+        "coefficient",
+        best.coefficient,
+        &obs::SCORE_BOUNDS,
+    );
     best
 }
 

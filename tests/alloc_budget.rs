@@ -7,10 +7,12 @@
 //! and this test is the regression gate on that contract. It is also
 //! the profiled == plain identity gate: the profiled month must equal
 //! the plain one (raw and cleaned logs, removed duplicates, reset
-//! bursts).
+//! bursts), and so must its metric snapshot wherever `repro report
+//! --check` compares runs (counters, gauges and histograms of the
+//! normalized report).
 
 use quicksand_core::scenario::{MonthResult, Scenario, ScenarioConfig};
-use quicksand_obs as obs;
+use quicksand_obs::{self as obs, RunReport, Snapshot};
 use std::sync::Arc;
 
 /// Counting wrapper over the system allocator, local to this test
@@ -55,15 +57,17 @@ fn probe() -> u64 {
     counting::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// One serial month replay and the allocations it made, measured on a
-/// scoped registry so metric bookkeeping is identical run to run.
-fn replay_allocs(scenario: &Scenario) -> (MonthResult, u64) {
+/// One serial month replay, the allocations it made and its metric
+/// snapshot, measured on a scoped registry so metric bookkeeping is
+/// identical run to run.
+fn replay_allocs(scenario: &Scenario) -> (MonthResult, u64, Snapshot) {
     let registry = Arc::new(obs::Registry::new());
-    obs::with_metrics(registry, || {
+    let (month, allocs) = obs::with_metrics(registry.clone(), || {
         let before = probe();
         let month = scenario.run_month().expect("valid scenario");
         (month, probe() - before)
-    })
+    });
+    (month, allocs, registry.snapshot())
 }
 
 #[test]
@@ -74,13 +78,12 @@ fn profiled_serial_replay_stays_within_five_pct_of_alloc_budget() {
     // Warm every lazy cache (name interning, scratch growth) so the
     // baseline and profiled runs see identical steady state.
     replay_allocs(&scenario);
-    let (plain_month, baseline) = replay_allocs(&scenario);
+    let (plain_month, baseline, plain_snap) = replay_allocs(&scenario);
     assert!(baseline > 0, "the replay allocates something");
 
     obs::prof::reset();
-    obs::prof::set_sample_every(1);
     obs::prof::set_enabled(true);
-    let (profiled_month, profiled) = replay_allocs(&scenario);
+    let (profiled_month, profiled, profiled_snap) = replay_allocs(&scenario);
     obs::prof::set_enabled(false);
     let profile = obs::prof::capture();
     obs::prof::reset();
@@ -90,6 +93,15 @@ fn profiled_serial_replay_stays_within_five_pct_of_alloc_budget() {
     assert!(plain_month.cleaned == profiled_month.cleaned, "profiled cleaned log differs");
     assert_eq!(plain_month.removed_duplicates, profiled_month.removed_duplicates);
     assert_eq!(plain_month.reset_bursts, profiled_month.reset_bursts);
+    let plain_report = RunReport::assemble("plain", &plain_snap, &[], &obs::Profile::default());
+    let profiled_report = RunReport::assemble("profiled", &profiled_snap, &[], &profile);
+    let plain_metrics = plain_report.normalized().metrics;
+    assert!(!plain_metrics.counters.is_empty(), "the replay recorded no counters");
+    assert_eq!(
+        plain_metrics,
+        profiled_report.normalized().metrics,
+        "profiling changed the metric snapshot"
+    );
 
     // The profiler genuinely recorded the hot path, with the counting
     // allocator attributed through the probe.

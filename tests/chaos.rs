@@ -420,7 +420,12 @@ fn obs_report_counts_every_injected_flap_as_reconnect() {
     );
 
     // The assembled run report carries the same per-session counters.
-    let report = RunReport::assemble("chaos", &registry.snapshot(), &subscriber.events());
+    let report = RunReport::assemble(
+        "chaos",
+        &registry.snapshot(),
+        &subscriber.events(),
+        &obs::Profile::default(),
+    );
     for (&session, &n) in &flaps_by_session {
         let entry = report
             .metrics
@@ -435,8 +440,8 @@ fn obs_report_counts_every_injected_flap_as_reconnect() {
 }
 
 /// Under a fixed fault seed the metric snapshot is deterministic:
-/// counters, gauges, and every simulation-derived histogram repeat
-/// exactly run to run (only wall-clock `wall_ms` timings may differ).
+/// counters, gauges, and histograms repeat exactly run to run (wall
+/// time lives in spans, not in the registry).
 #[test]
 fn obs_snapshot_is_deterministic_under_fixed_seed() {
     use quicksand_obs::{self as obs, Registry, Snapshot};
@@ -449,19 +454,12 @@ fn obs_snapshot_is_deterministic_under_fixed_seed() {
         });
         reg.snapshot()
     };
-    let sim_histograms = |s: &Snapshot| -> Vec<_> {
-        s.histograms
-            .iter()
-            .filter(|h| h.name != quicksand_obs::WALL_MS)
-            .cloned()
-            .collect()
-    };
     for &seed in &env_seeds(&[42]) {
         let a = snap(seed);
         let b = snap(seed);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.gauges, b.gauges);
-        assert_eq!(sim_histograms(&a), sim_histograms(&b));
+        assert_eq!(a.histograms, b.histograms);
     }
 }
 

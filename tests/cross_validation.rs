@@ -162,15 +162,9 @@ fn fast_converge_equals_event_sim_under_generated_churn() {
 /// event, and the message-level `EventSim` must agree with the static
 /// tree at initial convergence. (Per-event message-level quiescence at
 /// 20k ASes is what the fast engine exists to avoid, so the event-sim
-/// leg checks the converged state once.) `#[ignore]` by default and
-/// gated on `QUICKSAND_TEST_LARGE=1`.
+/// leg checks the converged state once.)
 #[test]
-#[ignore = "large tier: minutes of CPU; QUICKSAND_TEST_LARGE=1 cargo test -- --ignored"]
 fn large_tier_engines_agree_under_generated_churn() {
-    if std::env::var("QUICKSAND_TEST_LARGE").as_deref() != Ok("1") {
-        eprintln!("skipped: set QUICKSAND_TEST_LARGE=1 to run the large cross-validation");
-        return;
-    }
     let t = TopologyGenerator::new(TopologyConfig::internet(20_000, 0xD1FF)).generate();
     assert!(t.graph.len() >= 20_000);
     let asns: Vec<Asn> = t.graph.asns().collect();

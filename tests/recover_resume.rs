@@ -58,7 +58,12 @@ fn run_baseline(scenario: &Scenario) -> (MonthResult, RunReport) {
             scenario.run_month().expect("valid scenario config")
         })
     });
-    let report = RunReport::assemble("kill-resume", &registry.snapshot(), &events.events());
+    let report = RunReport::assemble(
+        "kill-resume",
+        &registry.snapshot(),
+        &events.events(),
+        &obs::Profile::default(),
+    );
     (month, report)
 }
 
@@ -108,7 +113,12 @@ fn run_resumed(
                 .expect("resume from a matching checkpoint")
         })
     });
-    let report = RunReport::assemble("kill-resume", &registry.snapshot(), &events.events());
+    let report = RunReport::assemble(
+        "kill-resume",
+        &registry.snapshot(),
+        &events.events(),
+        &obs::Profile::default(),
+    );
     let evs = events.events();
     (month, report, registry, evs)
 }
